@@ -33,7 +33,6 @@ from seedseg.intervals import (
 )
 from seedseg.metrics import EvalReport, count_error, hausdorff, mse, v_measure
 from seedseg.select import (
-    OrderedBreakIndex,
     Penalty,
     Segmentation,
     SolutionPath,
@@ -67,7 +66,6 @@ __all__ = [
     "GainEvaluator",
     "Interval",
     "NoiseModel",
-    "OrderedBreakIndex",
     "Penalty",
     "PrefixSums",
     "SeededParams",

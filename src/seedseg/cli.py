@@ -141,6 +141,10 @@ def run_detect(series: Sequence[float], config: DetectConfig) -> dict:
     x = np.asarray(series, dtype=float)
     if len(x) < 2:
         raise ValueError(f"need at least 2 observations, got {len(x)}")
+    for name in ("threshold", "sigma"):
+        value = getattr(config, name)
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
     sigma_hat = config.sigma if config.sigma is not None else estimate_noise_sd(x)
     intervals = _build_intervals(config, len(x))
     ps = prefix_sums(x)

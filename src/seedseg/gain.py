@@ -97,19 +97,10 @@ def prefix_sums(series: Sequence[float], compensated: bool = False) -> PrefixSum
     return PrefixSums(sums=sums, sq_sums=sq_sums)
 
 
-def cusum(
-    ps: PrefixSums,
-    left: int,
-    right: int,
-    split,
-    legacy_weights: bool = False,
-):
+def cusum(ps: PrefixSums, left: int, right: int, split):
     """CUSUM statistic at ``split`` (scalar or array) inside ``(left, right]``.
 
-    ``legacy_weights=True`` reproduces the textbook-printed weighting that
-    uses ``s - left + 1`` observations for the left segment; the default
-    uses ``s - left``, for which ``cusum**2`` equals the RSS reduction of
-    splitting exactly.
+    ``cusum**2`` equals the RSS reduction of splitting there exactly.
     """
     T = ps.length
     if not (0 <= left < right <= T) or right - left < 2:
@@ -120,8 +111,6 @@ def cusum(
     n = right - left
     left_n = (s - left).astype(float)
     right_n = (right - s).astype(float)
-    if legacy_weights:
-        left_n = left_n + 1.0
     sum_left = ps.sums[s] - ps.sums[left]
     sum_right = ps.sums[right] - ps.sums[s]
     value = np.sqrt(right_n / (n * left_n)) * sum_left - np.sqrt(left_n / (n * right_n)) * sum_right
@@ -157,12 +146,10 @@ class GainEvaluator(Protocol):
     def best_split(self, left: int, right: int) -> tuple[int, float]: ...
 
 
-def best_split_bounds(
-    ps: PrefixSums, left: int, right: int, legacy_weights: bool = False
-) -> tuple[int, float]:
+def best_split_bounds(ps: PrefixSums, left: int, right: int) -> tuple[int, float]:
     """(split, gain) maximising |cusum| over interior splits; ties -> smallest split."""
     splits = np.arange(left + 1, right)
-    values = np.abs(cusum(ps, left, right, splits, legacy_weights=legacy_weights))
+    values = np.abs(cusum(ps, left, right, splits))
     j = int(np.argmax(values))
     return int(splits[j]), float(values[j])
 
@@ -172,23 +159,19 @@ class CusumGainEvaluator:
     """Default CUSUM-based :class:`GainEvaluator`."""
 
     ps: PrefixSums
-    legacy_weights: bool = False
 
     def best_split(self, left: int, right: int) -> tuple[int, float]:
-        return best_split_bounds(self.ps, left, right, self.legacy_weights)
+        return best_split_bounds(self.ps, left, right)
 
 
-def best_split(ps: PrefixSums, interval: Interval, legacy_weights: bool = False) -> Candidate:
+def best_split(ps: PrefixSums, interval: Interval) -> Candidate:
     """Best-split candidate of one interval."""
-    split, gain = best_split_bounds(ps, interval.left, interval.right, legacy_weights)
+    split, gain = best_split_bounds(ps, interval.left, interval.right)
     return Candidate(interval=interval, split=split, gain=gain)
 
 
 def best_splits_arrays(
-    ps: PrefixSums,
-    lefts: np.ndarray,
-    rights: np.ndarray,
-    legacy_weights: bool = False,
+    ps: PrefixSums, lefts: np.ndarray, rights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised best splits for many intervals; returns (splits, gains).
 
@@ -214,8 +197,6 @@ def best_splits_arrays(
         offs = np.arange(1, n)
         left_n = offs.astype(float)
         right_n = (n - offs).astype(float)
-        if legacy_weights:
-            left_n = left_n + 1.0
         w_left = np.sqrt(right_n / (n * left_n))
         w_right = np.sqrt(left_n / (n * right_n))
         s_idx = l[:, None] + offs[None, :]
@@ -232,7 +213,6 @@ def evaluate_all(
     ps: PrefixSums,
     intervals: Union[Sequence[Interval], IntervalArrays],
     evaluator: Optional[GainEvaluator] = None,
-    legacy_weights: bool = False,
 ) -> list[Candidate]:
     """One best-split candidate per interval, in input order.
 
@@ -256,7 +236,7 @@ def evaluate_all(
             split, gain = evaluator.best_split(iv.left, iv.right)
             out.append(Candidate(interval=iv, split=split, gain=gain))
         return out
-    splits, gains = best_splits_arrays(ps, lefts, rights, legacy_weights=legacy_weights)
+    splits, gains = best_splits_arrays(ps, lefts, rights)
     return [
         Candidate(interval=iv, split=int(s), gain=float(g))
         for iv, s, g in zip(objs, splits, gains)

@@ -8,14 +8,14 @@ mode.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from seedseg.gain import PrefixSums
 from seedseg.select import Penalty, Segmentation, fit_segmentation
 
-__all__ = ["dp_exact", "naive_cusum"]
+__all__ = ["dp_exact", "naive_cusum", "naive_greedy", "naive_not"]
 
 
 def naive_cusum(series: Sequence[float], left: int, right: int, split: int) -> float:
@@ -33,6 +33,46 @@ def naive_cusum(series: Sequence[float], left: int, right: int, split: int) -> f
     return math.sqrt(right_n / (n * left_n)) * sum_left - math.sqrt(
         left_n / (n * right_n)
     ) * sum_right
+
+
+def _pick_and_eliminate(
+    alive: list[int], key: Callable, splits, lefts, rights, limit: Optional[int] = None
+) -> list[int]:
+    # accept the key-minimal survivor, drop every survivor whose open
+    # interior holds its split, repeat
+    accepted: list[int] = []
+    while alive and (limit is None or len(accepted) < limit):
+        j = min(alive, key=key)
+        accepted.append(j)
+        s = splits[j]
+        alive = [i for i in alive if i != j and not lefts[i] < s < rights[i]]
+    return accepted
+
+
+def naive_greedy(
+    gains, splits, lefts, rights, kappa: float, max_accept: Optional[int] = None
+) -> list[int]:
+    """Greedy selection by literal pick-max / eliminate, O(n^2).
+
+    Takes the surviving candidate of largest gain above ``kappa`` (lowest
+    index among equal gains) until none is left or ``max_accept`` are taken;
+    returns candidate indices in acceptance order.
+    """
+    alive = [j for j, g in enumerate(gains) if g > kappa]
+    return _pick_and_eliminate(alive, lambda j: (-gains[j], j), splits, lefts, rights, max_accept)
+
+
+def naive_not(gains, splits, lefts, rights, kappa: float, inclusive: bool = False) -> list[int]:
+    """Narrowest-over-threshold selection by literal narrowest-first pick, O(n^2).
+
+    Qualifying candidates have gain > ``kappa`` (>= when ``inclusive``); the
+    narrowest survivor is taken first, then the leftmost, the smallest
+    split and the lowest index.
+    """
+    alive = [j for j, g in enumerate(gains) if (g >= kappa if inclusive else g > kappa)]
+    return _pick_and_eliminate(
+        alive, lambda j: (rights[j] - lefts[j], lefts[j], splits[j], j), splits, lefts, rights
+    )
 
 
 def dp_exact(

@@ -2,14 +2,18 @@
 
 Greedy selection repeatedly accepts the surviving candidate with maximal
 gain; narrowest-over-threshold accepts the shortest qualifying interval.
-Both eliminate every interval whose open interior contains an accepted
-point, tracked in a balanced tree so each containment check costs
-O(log n).  Solution paths record the segmentations swept out by all
-thresholds, and an information criterion picks the final model.
+Both visit candidates in a fixed order and eliminate every interval whose
+open interior contains an accepted point.  One array scan serves both:
+candidates are taken in chunks, a single ``np.searchsorted`` against the
+sorted accepted splits drops the members blocked by earlier chunks, and
+only the survivors are settled one by one.  Solution paths record the
+segmentations swept out by all thresholds, and an information criterion
+picks the final model.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,7 +24,6 @@ import numpy as np
 from seedseg.gain import Candidate, PrefixSums
 
 __all__ = [
-    "OrderedBreakIndex",
     "Penalty",
     "Segmentation",
     "SolutionPath",
@@ -40,150 +43,47 @@ __all__ = [
 ]
 
 _MAD_SCALE = 0.6745  # third-quartile point of the standard normal
+_CHUNK = 2048  # candidates checked against earlier acceptances per searchsorted
+_NO_SPLIT = np.iinfo(np.int64).max  # sentinel above every accepted split
 
 
-class _Node:
-    __slots__ = ("key", "left", "right", "height")
+def _eliminate(
+    order: np.ndarray,
+    splits: np.ndarray,
+    lefts: np.ndarray,
+    rights: np.ndarray,
+    limit: Optional[int] = None,
+) -> list[int]:
+    """Candidates of ``order`` accepted by a scan in that order.
 
-    def __init__(self, key: int):
-        self.key = key
-        self.left: Optional[_Node] = None
-        self.right: Optional[_Node] = None
-        self.height = 1
-
-
-def _height(node: Optional[_Node]) -> int:
-    return node.height if node is not None else 0
-
-
-def _rebalance(node: _Node) -> _Node:
-    node.height = 1 + max(_height(node.left), _height(node.right))
-    bal = _height(node.left) - _height(node.right)
-    if bal > 1:
-        if _height(node.left.left) < _height(node.left.right):
-            node.left = _rotate_left(node.left)
-        return _rotate_right(node)
-    if bal < -1:
-        if _height(node.right.right) < _height(node.right.left):
-            node.right = _rotate_right(node.right)
-        return _rotate_left(node)
-    return node
-
-
-def _rotate_right(node: _Node) -> _Node:
-    pivot = node.left
-    node.left = pivot.right
-    pivot.right = node
-    node.height = 1 + max(_height(node.left), _height(node.right))
-    pivot.height = 1 + max(_height(pivot.left), _height(pivot.right))
-    return pivot
-
-
-def _rotate_left(node: _Node) -> _Node:
-    pivot = node.right
-    node.right = pivot.left
-    pivot.left = node
-    node.height = 1 + max(_height(node.left), _height(node.right))
-    pivot.height = 1 + max(_height(pivot.left), _height(pivot.right))
-    return pivot
-
-
-class OrderedBreakIndex:
-    """Ordered set of found change points backed by an AVL tree.
-
-    Insert, predecessor/successor and open-range containment all run in
-    O(log n) worst case.  Single writer; no concurrent mutation.
+    A candidate is accepted iff no split accepted before it lies strictly
+    inside ``(left, right)``.  Returns candidate indices in acceptance
+    order, at most ``limit`` of them.
     """
-
-    def __init__(self, keys: Sequence[int] = ()):
-        self._root: Optional[_Node] = None
-        self._size = 0
-        for k in keys:
-            self.insert(int(k))
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __contains__(self, key: int) -> bool:
-        node = self._root
-        while node is not None:
-            if key == node.key:
-                return True
-            node = node.left if key < node.key else node.right
-        return False
-
-    def __iter__(self) -> Iterator[int]:
-        stack: list[_Node] = []
-        node = self._root
-        while stack or node is not None:
-            while node is not None:
-                stack.append(node)
-                node = node.left
-            node = stack.pop()
-            yield node.key
-            node = node.right
-
-    def insert(self, key: int) -> bool:
-        """Insert ``key``; returns False (a no-op) if already present."""
-        inserted = [True]
-
-        def _insert(node: Optional[_Node]) -> _Node:
-            if node is None:
-                return _Node(key)
-            if key == node.key:
-                inserted[0] = False
-                return node
-            if key < node.key:
-                node.left = _insert(node.left)
-            else:
-                node.right = _insert(node.right)
-            return _rebalance(node)
-
-        self._root = _insert(self._root)
-        if inserted[0]:
-            self._size += 1
-        return inserted[0]
-
-    def neighbors(self, key: int) -> tuple[Optional[int], Optional[int]]:
-        """Strict predecessor and successor of ``key`` (either may be None)."""
-        pred: Optional[int] = None
-        succ: Optional[int] = None
-        node = self._root
-        while node is not None:
-            if node.key < key:
-                pred = node.key
-                node = node.right
-            elif node.key > key:
-                succ = node.key
-                node = node.left
-            else:
-                p = node.left
-                while p is not None:
-                    pred = p.key
-                    p = p.right
-                p = node.right
-                while p is not None:
-                    succ = p.key
-                    p = p.left
+    limit = len(order) if limit is None else limit
+    taken = np.array([_NO_SPLIT], dtype=np.int64)  # sorted accepted splits
+    accepted: list[int] = []
+    for start in range(0, len(order), _CHUNK):
+        if len(accepted) >= limit:
+            break
+        chunk = order[start : start + _CHUNK]
+        lo, hi = lefts[chunk], rights[chunk]
+        # the first split above ``left`` must not lie below ``right``
+        free = taken[np.searchsorted(taken, lo, side="right")] >= hi
+        chunk = chunk[free]
+        new: list[int] = []  # sorted splits accepted from this chunk
+        for j, l, r, s in zip(
+            chunk.tolist(), lo[free].tolist(), hi[free].tolist(), splits[chunk].tolist()
+        ):
+            i = bisect.bisect_right(new, l)
+            if i < len(new) and new[i] < r:
+                continue
+            bisect.insort(new, s)
+            accepted.append(j)
+            if len(accepted) >= limit:
                 break
-        return pred, succ
-
-    def successor_above(self, key: int) -> Optional[int]:
-        """Smallest stored key strictly greater than ``key``."""
-        succ: Optional[int] = None
-        node = self._root
-        while node is not None:
-            if node.key > key:
-                succ = node.key
-                node = node.left
-            else:
-                node = node.right
-        return succ
-
-    def contains_in_open_range(self, left: int, right: int) -> bool:
-        """True iff some stored point p satisfies left < p < right."""
-        succ = self.successor_above(left)
-        return succ is not None and succ < right
+        taken = np.insert(taken, np.searchsorted(taken, new), new)
+    return accepted
 
 
 @dataclass(frozen=True)
@@ -243,17 +143,9 @@ def greedy_select_arrays(
     exactly the iterative pick-max / eliminate loop.  ``max_accept`` stops
     after that many acceptances (the accepted prefix is unaffected).
     """
-    order = np.argsort(-gains, kind="stable")
-    index = OrderedBreakIndex()
-    accepted: list[int] = []
-    limit = len(order) if max_accept is None else max_accept
-    for j in order:
-        if gains[j] <= kappa or len(accepted) >= limit:
-            break
-        if not index.contains_in_open_range(lefts[j], rights[j]):
-            index.insert(int(splits[j]))
-            accepted.append(int(j))
-    return accepted
+    idx = np.nonzero(gains > kappa)[0]
+    order = idx[np.argsort(-gains[idx], kind="stable")]
+    return _eliminate(order, splits, lefts, rights, max_accept)
 
 
 def not_select_arrays(
@@ -274,13 +166,7 @@ def not_select_arrays(
     idx = np.nonzero(qual)[0]
     lengths = rights[idx] - lefts[idx]
     order = idx[np.lexsort((splits[idx], lefts[idx], lengths))]
-    index = OrderedBreakIndex()
-    accepted: list[int] = []
-    for j in order:
-        if not index.contains_in_open_range(lefts[j], rights[j]):
-            index.insert(int(splits[j]))
-            accepted.append(int(j))
-    return accepted
+    return _eliminate(order, splits, lefts, rights)
 
 
 def _finish(
@@ -378,10 +264,7 @@ def greedy_path_arrays(
     retained prefix is identical to the untruncated path's.
     """
     acc = greedy_select_arrays(gains, splits, lefts, rights, 0.0, max_accept=max_breaks)
-    return SolutionPath(
-        thresholds=[float(gains[j]) for j in acc],
-        increments=[int(splits[j]) for j in acc],
-    )
+    return SolutionPath(thresholds=gains[acc], increments=splits[acc])
 
 
 def greedy_solution_path(candidates: Sequence[Candidate]) -> SolutionPath:
@@ -401,7 +284,8 @@ def not_path_arrays(
 
     Entry with threshold g is the selection for any kappa just below g;
     adjacent duplicate segmentations are collapsed (first threshold kept).
-    Worst case O(T^2 log T) work; the path need not be nested.
+    Every distinct gain costs one elimination scan, so the work is quadratic
+    in the number of candidates; the path need not be nested.
     """
     distinct = np.unique(gains[gains > 0.0])[::-1]
     # one shared (length, left, split) order; each threshold scan filters it
@@ -411,13 +295,8 @@ def not_path_arrays(
     thresholds: list[float] = []
     segs: list[tuple[int, ...]] = []
     for g in distinct:
-        index = OrderedBreakIndex()
-        accepted: list[int] = []
-        for j in order[gains_ordered >= g]:
-            if not index.contains_in_open_range(lefts[j], rights[j]):
-                index.insert(int(splits[j]))
-                accepted.append(j)
-        seg = tuple(sorted(int(splits[j]) for j in accepted))
+        accepted = _eliminate(order[gains_ordered >= g], splits, lefts, rights)
+        seg = tuple(sorted(splits[accepted].tolist()))
         if not segs or seg != segs[-1]:
             thresholds.append(float(g))
             segs.append(seg)
@@ -484,16 +363,37 @@ def penalty_value(penalty: Penalty, n_breaks: int, length: int) -> float:
     return n_breaks * penalty.per_break(length)
 
 
-def _ssic_score(rss: float, n_breaks: int, T: int, penalty: Penalty) -> float:
-    if rss <= 0.0:
+def _scores(penalty: Penalty, rss: np.ndarray, sizes: np.ndarray, T: int) -> np.ndarray:
+    """Criterion values of models with the given RSS and change point counts.
+
+    ``ssic`` is degenerate on a perfect fit (RSS = 0): such models score
+    -inf, with one warning however many there are.
+    """
+    pen = sizes * penalty.per_break(T)
+    if penalty.kind != "ssic":
+        return rss + pen
+    fitted = rss > 0.0
+    if not fitted.all():
         warnings.warn(
             "ssic is degenerate on a perfectly fitted segmentation (RSS = 0);"
             " returning -inf",
             RuntimeWarning,
             stacklevel=3,
         )
-        return -math.inf
-    return 0.5 * T * math.log(rss / T) + penalty_value(penalty, n_breaks, T)
+    with np.errstate(divide="ignore"):
+        return np.where(fitted, 0.5 * T * np.log(rss / T) + pen, -math.inf)
+
+
+def _total_rss(ps: PrefixSums, changepoints: Sequence[int]) -> float:
+    bounds = (0, *changepoints, ps.length)
+    return sum(ps.segment_rss(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
+
+
+def _segment_rss(ps: PrefixSums, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """:meth:`PrefixSums.segment_rss` over arrays of segment bounds."""
+    s = ps.sums[hi] - ps.sums[lo]
+    q = ps.sq_sums[hi] - ps.sq_sums[lo]
+    return np.maximum(q - s * s / (hi - lo), 0.0)
 
 
 def ic_score(ps: PrefixSums, seg: Segmentation, penalty: Penalty) -> float:
@@ -502,13 +402,31 @@ def ic_score(ps: PrefixSums, seg: Segmentation, penalty: Penalty) -> float:
     Additive kinds score RSS + PEN; ``ssic`` scores
     (T/2) log(RSS/T) + |S| (log T)**theta.
     """
-    T = ps.length
-    cps = seg.changepoints
-    bounds = (0,) + cps + (T,)
-    rss = sum(ps.segment_rss(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
-    if penalty.kind == "ssic":
-        return _ssic_score(rss, len(cps), T, penalty)
-    return rss + penalty_value(penalty, len(cps), T)
+    rss = np.array([_total_rss(ps, seg.changepoints)])
+    return float(_scores(penalty, rss, np.array([len(seg)]), ps.length)[0])
+
+
+def _insertion_neighbours(points: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each of the distinct ``points``, its nearest earlier points below
+    and above (0 and ``T`` where there is none).
+
+    One reverse pass unlinks the points from a sorted linked list; when a
+    point is unlinked, the list holds exactly the points before it.
+    """
+    n = len(points)
+    order = np.argsort(points)
+    values = np.concatenate(([0], points[order], [T]))
+    slot = np.empty(n, dtype=np.int64)
+    slot[order] = np.arange(1, n + 1)  # list node of each point
+    prev = list(range(-1, n + 1))
+    succ = list(range(1, n + 3))
+    lo = [0] * n
+    hi = [0] * n
+    for i, k in zip(range(n - 1, -1, -1), slot[::-1].tolist()):
+        p, q = prev[k], succ[k]
+        lo[i], hi[i] = p, q
+        succ[p], prev[q] = q, p
+    return values[lo], values[hi]
 
 
 def select_by_ic(
@@ -519,9 +437,11 @@ def select_by_ic(
 ) -> Segmentation:
     """Best path entry (or the empty segmentation) under the criterion.
 
-    Ties pick the model with fewer change points.  Nested paths are walked
-    incrementally: each added point costs one O(log T) neighbour lookup and
-    an O(1) RSS update.
+    Ties pick the model with fewer change points, then the earlier entry.
+    Nested paths are scored in one pass: each increment's neighbours at
+    the moment it was added give its O(1) RSS change, and the RSS of every
+    entry is the cumulative sum of those changes.  General paths are
+    scored entry by entry.
 
     For ``ssic`` the comparison is restricted to models with at most
     ``max_breaks`` change points, by default ceil(T/2): the log-RSS data
@@ -533,48 +453,23 @@ def select_by_ic(
     if max_breaks is None and penalty.kind == "ssic":
         max_breaks = (T + 1) // 2
     cap = max_breaks if max_breaks is not None else T
-
-    def score(rss: float, k: int) -> float:
-        if penalty.kind == "ssic":
-            return _ssic_score(rss, k, T, penalty)
-        return rss + penalty_value(penalty, k, T)
-
-    best_i = -1  # -1 encodes the empty segmentation
-    best_score = score(ps.segment_rss(0, T), 0)
+    rss0 = ps.segment_rss(0, T)
     if path.nested:
-        index = OrderedBreakIndex()
-        rss = ps.segment_rss(0, T)
-        for i, point in enumerate(path.increments):
-            if i >= cap:
-                break
-            point = int(point)
-            pred, succ = index.neighbors(point)
-            lo = pred if pred is not None else 0
-            hi = succ if succ is not None else T
-            rss += (
-                ps.segment_rss(lo, point)
-                + ps.segment_rss(point, hi)
-                - ps.segment_rss(lo, hi)
-            )
-            index.insert(point)
-            s = score(max(rss, 0.0), i + 1)
-            if s < best_score:
-                best_score = s
-                best_i = i
+        points = path.increments[: max(cap, 0)]
+        lo, hi = _insertion_neighbours(points, T)
+        deltas = (
+            _segment_rss(ps, lo, points) + _segment_rss(ps, points, hi) - _segment_rss(ps, lo, hi)
+        )
+        rss = np.maximum(np.cumsum(np.concatenate(([rss0], deltas))), 0.0)
+        sizes = np.arange(len(points) + 1)
+        entries = range(len(points))
     else:
-        for i in range(len(path)):
-            cps = path.changepoints_at(i)
-            if len(cps) > cap:
-                continue
-            bounds = (0,) + cps + (T,)
-            rss = sum(ps.segment_rss(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
-            s = score(rss, len(cps))
-            if s < best_score or (s == best_score and best_i >= 0 and len(cps) < len(path.changepoints_at(best_i))):
-                best_score = s
-                best_i = i
-    if best_i < 0:
-        return fit_segmentation(ps, ())
-    return fit_segmentation(ps, path.changepoints_at(best_i))
+        entries = [i for i in range(len(path)) if len(path.changepoints_at(i)) <= cap]
+        models = [path.changepoints_at(i) for i in entries]
+        rss = np.array([rss0] + [_total_rss(ps, cps) for cps in models])
+        sizes = np.array([0] + [len(cps) for cps in models])
+    best = int(np.lexsort((sizes, _scores(penalty, rss, sizes, T)))[0])
+    return fit_segmentation(ps, path.changepoints_at(entries[best - 1]) if best else ())
 
 
 def auto_threshold(length: int, sigma_hat: float, scale: float = 1.3) -> float:

@@ -123,6 +123,37 @@ class TestDetectCommand:
         rc, _, err = run_main(["detect", "--input", str(data)], capsys)
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--threshold", "-1"],
+            ["--threshold", "nan"],
+            ["--threshold", "inf"],
+            ["--sigma", "-3", "--ic", "bic"],
+            ["--sigma", "nan", "--ic", "bic"],
+            ["--sigma", "inf", "--threshold-scale", "1.3", "--ic", "none"],
+        ],
+    )
+    def test_bad_threshold_or_sigma_exit_2(self, tmp_path, capsys, flags):
+        data = tmp_path / "x.csv"
+        data.write_text("3\n" * 8)
+        rc, out, err = run_main(["detect", "--input", str(data), *flags], capsys)
+        assert rc == 2
+        assert out == ""
+        assert "must be finite and >= 0" in err
+
+    def test_zero_threshold_and_sigma_accepted(self, tmp_path, capsys):
+        data = tmp_path / "x.csv"
+        data.write_text("0\n" * 4 + "5\n" * 4)
+        rc, out, _ = run_main(
+            ["detect", "--input", str(data), "--threshold", "0", "--sigma", "0"], capsys
+        )
+        assert rc == 0
+        result = json.loads(out)
+        assert result["threshold"] == 0.0
+        assert result["sigma_hat"] == 0.0
+        assert 4 in result["changepoints"]
+
     def test_stdin(self):
         proc = subprocess.run(
             [sys.executable, "-m", "seedseg.cli", "detect", "--threshold", "0.5"],

@@ -111,18 +111,6 @@ class TestCusum:
             reduction = ps.segment_rss(l, r) - ps.segment_rss(l, s) - ps.segment_rss(s, r)
             assert value * value == pytest.approx(reduction, rel=1e-9, abs=1e-9)
 
-    def test_legacy_weights_match_printed_form(self):
-        x = [0.3, -1.2, 0.7, 2.2, -0.4]
-        ps = prefix_sums(x)
-        l, r, s = 0, 5, 2
-        n = r - l
-        left = sum(x[l:s])
-        right = sum(x[s:r])
-        expected = math.sqrt((r - s) / (n * (s - l + 1))) * left - math.sqrt(
-            (s - l + 1) / (n * (r - s))
-        ) * right
-        assert cusum(ps, l, r, s, legacy_weights=True) == pytest.approx(expected)
-
     def test_vectorised_splits(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=40)

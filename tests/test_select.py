@@ -1,23 +1,31 @@
-import bisect
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import seedseg.select as select_module
 from seedseg.gain import Candidate, prefix_sums
 from seedseg.intervals import Interval
+from seedseg.oracle import naive_greedy, naive_not
 from seedseg.select import (
-    OrderedBreakIndex,
     Penalty,
     Segmentation,
     SolutionPath,
     auto_threshold,
     estimate_noise_sd,
     fit_segmentation,
+    greedy_path_arrays,
     greedy_select,
+    greedy_select_arrays,
     greedy_solution_path,
     ic_score,
+    not_path_arrays,
     not_select,
+    not_select_arrays,
     not_solution_path,
     penalty_value,
     select_by_ic,
@@ -28,55 +36,99 @@ def cand(l, r, s, g):
     return Candidate(interval=Interval(l, r, 1), split=s, gain=g)
 
 
-class TestOrderedBreakIndex:
-    def test_empty_neighbors(self):
-        assert OrderedBreakIndex().neighbors(5) == (None, None)
+@st.composite
+def candidate_arrays(draw):
+    """(gains, splits, lefts, rights) with repeats and, often, integer (tied) gains."""
+    T = draw(st.integers(2, 24))
+    gain = st.integers(0, 4).map(float) if draw(st.booleans()) else st.floats(0.0, 10.0)
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        left = draw(st.integers(0, T - 2))
+        right = draw(st.integers(left + 2, T))
+        rows.append((draw(gain), draw(st.integers(left + 1, right - 1)), left, right))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=10))
+    cols = list(zip(*rows)) or [(), (), (), ()]
+    return (
+        np.array(cols[0], dtype=float),
+        *(np.array(c, dtype=np.int64) for c in cols[1:]),
+    )
 
-    def test_neighbors(self):
-        idx = OrderedBreakIndex([2, 9])
-        assert idx.neighbors(5) == (2, 9)
-        assert idx.neighbors(2) == (None, 9)
-        assert idx.neighbors(1) == (None, 2)
-        assert idx.neighbors(10) == (9, None)
 
-    def test_open_range(self):
-        idx = OrderedBreakIndex([2, 9])
-        assert not idx.contains_in_open_range(2, 9)
-        assert idx.contains_in_open_range(1, 3)
-        assert idx.contains_in_open_range(8, 10)
+# chunk sizes small enough that a scan crosses many chunk boundaries
+chunk_sizes = st.sampled_from([1, 2, 3, 7, select_module._CHUNK])
+thresholds = st.integers(0, 5).map(float) | st.floats(0.0, 5.0)
 
-    def test_duplicate_insert_noop(self):
-        idx = OrderedBreakIndex()
-        assert idx.insert(4)
-        assert not idx.insert(4)
-        assert len(idx) == 1
+# integer data fits constant segments exactly (RSS = 0) and ties scores
+integer_series = st.lists(st.integers(-3, 3), min_size=2, max_size=40).map(
+    lambda v: np.array(v, dtype=float)
+)
+gaussian_series = st.tuples(st.integers(2, 60), st.integers(0, 2**32 - 1), st.floats(0.0, 4.0)).map(
+    lambda a: np.where(np.arange(a[0]) >= a[0] // 2, a[2], 0.0)
+    + np.random.default_rng(a[1]).normal(size=a[0])
+)
+penalties = st.sampled_from(
+    [Penalty.constant(0.0), Penalty.constant(1.5), Penalty.bic(1.0), Penalty.ssic()]
+)
 
-    def test_against_sorted_list_oracle(self):
-        rng = np.random.default_rng(11)
-        idx = OrderedBreakIndex()
-        ref: list[int] = []
-        for _ in range(4000):
-            k = int(rng.integers(0, 600))
-            added = idx.insert(k)
-            if k not in ref:
-                assert added
-                bisect.insort(ref, k)
-            else:
-                assert not added
-            q = int(rng.integers(0, 600))
-            i = bisect.bisect_left(ref, q)
-            pred = ref[i - 1] if i else None
-            j = bisect.bisect_right(ref, q)
-            succ = ref[j] if j < len(ref) else None
-            assert idx.neighbors(q) == (pred, succ)
-            l = int(rng.integers(0, 600))
-            r = int(rng.integers(l, 601))
-            assert idx.contains_in_open_range(l, r) == any(l < p < r for p in ref)
-        assert list(idx) == ref
 
-    def test_balanced_depth(self):
-        idx = OrderedBreakIndex(range(4096))  # adversarial ascending inserts
-        assert idx._root.height <= 1.45 * math.log2(4096 + 2)
+class TestEliminationScan:
+    """The four selection functions against literal pick-and-eliminate loops."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(candidate_arrays(), thresholds, st.none() | st.integers(0, 12), chunk_sizes)
+    def test_greedy_select_matches_pick_max(self, cands, kappa, max_accept, chunk):
+        with mock.patch.object(select_module, "_CHUNK", chunk):
+            got = greedy_select_arrays(*cands, kappa, max_accept=max_accept)
+        assert got == naive_greedy(*cands, kappa, max_accept)
+
+    @settings(max_examples=300, deadline=None)
+    @given(candidate_arrays(), st.none() | st.integers(0, 12), chunk_sizes)
+    def test_greedy_path_matches_pick_max(self, cands, max_breaks, chunk):
+        gains, splits = cands[:2]
+        with mock.patch.object(select_module, "_CHUNK", chunk):
+            path = greedy_path_arrays(*cands, max_breaks=max_breaks)
+        want = naive_greedy(*cands, 0.0, max_breaks)
+        assert path.thresholds.tolist() == gains[want].tolist()
+        assert path.increments.tolist() == splits[want].tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(candidate_arrays(), thresholds, st.booleans(), chunk_sizes)
+    def test_not_select_matches_narrowest_first(self, cands, kappa, inclusive, chunk):
+        with mock.patch.object(select_module, "_CHUNK", chunk):
+            got = not_select_arrays(*cands, kappa, inclusive=inclusive)
+        assert got == naive_not(*cands, kappa, inclusive)
+
+    @settings(max_examples=200, deadline=None)
+    @given(candidate_arrays(), chunk_sizes)
+    def test_not_path_matches_narrowest_first(self, cands, chunk):
+        gains, splits = cands[:2]
+        with mock.patch.object(select_module, "_CHUNK", chunk):
+            path = not_path_arrays(*cands)
+        want: list[tuple[float, tuple[int, ...]]] = []
+        for g in sorted(set(gains[gains > 0.0].tolist()), reverse=True):
+            seg = tuple(sorted(splits[naive_not(*cands, g, inclusive=True)].tolist()))
+            if not want or seg != want[-1][1]:
+                want.append((g, seg))
+        assert list(path.entries()) == want
+
+    def test_real_candidates_beyond_one_chunk(self):
+        from seedseg.gain import best_splits_arrays
+        from seedseg.intervals import SeededParams, seeded_interval_arrays
+
+        rng = np.random.default_rng(20)
+        T = 1024
+        x = np.repeat(rng.normal(scale=3.0, size=16), T // 16) + rng.normal(size=T)
+        ps = prefix_sums(x)
+        iv = seeded_interval_arrays(SeededParams(T))
+        splits, gains = best_splits_arrays(ps, iv.lefts, iv.rights)
+        cands = (gains, splits, iv.lefts, iv.rights)
+        assert len(gains) > select_module._CHUNK
+        kappa = auto_threshold(T, estimate_noise_sd(x))
+        assert greedy_select_arrays(*cands, kappa) == naive_greedy(*cands, kappa)
+        assert not_select_arrays(*cands, kappa) == naive_not(*cands, kappa)
+        path = greedy_path_arrays(*cands, max_breaks=60)
+        assert path.increments.tolist() == splits[naive_greedy(*cands, 0.0, 60)].tolist()
 
 
 class TestGreedySelect:
@@ -306,6 +358,15 @@ class TestSelectByIc:
         if s1 == s2:  # by construction RSS difference equals the penalty step
             assert select_by_ic(path, ps, pen).changepoints == (2,)
 
+    @pytest.mark.parametrize("pen", [Penalty.constant(0.0), Penalty.ssic()])
+    def test_general_path_exact_tie_prefers_fewer_changepoints(self, pen):
+        # both entries fit exactly (RSS = 0): equal scores, 0.0 or -inf
+        ps = prefix_sums([0, 0, 1, 1, 1, 1])
+        path = SolutionPath([2.0, 1.0, 0.5], segmentations=[(2, 4), (2,), (2, 3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert select_by_ic(path, ps, pen).changepoints == (2,)
+
     def test_ssic_cap_excludes_saturated_model(self):
         rng = np.random.default_rng(17)
         x = rng.normal(size=40)
@@ -317,6 +378,50 @@ class TestSelectByIc:
         path = greedy_solution_path(cands)
         seg = select_by_ic(path, ps, Penalty.ssic())
         assert len(seg.changepoints) <= (40 + 1) // 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_series | gaussian_series, penalties, st.booleans())
+    def test_walk_matches_direct_scoring_of_every_entry(self, x, pen, nested):
+        from seedseg.gain import best_splits_arrays
+        from seedseg.intervals import SeededParams, seeded_interval_arrays
+
+        T = len(x)
+        ps = prefix_sums(x)
+        iv = seeded_interval_arrays(SeededParams(T, 0.5, 2))
+        splits, gains = best_splits_arrays(ps, iv.lefts, iv.rights)
+        build = greedy_path_arrays if nested else not_path_arrays
+        path = build(gains, splits, iv.lefts, iv.rights)
+        cap = (T + 1) // 2 if pen.kind == "ssic" else T
+        models = [()] + [
+            path.changepoints_at(i)
+            for i in range(len(path))
+            if len(path.changepoints_at(i)) <= cap
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            seg = select_by_ic(path, ps, pen)
+            scores = np.array([ic_score(ps, Segmentation(m), pen) for m in models])
+        k = models.index(seg.changepoints)
+        # lowest score, then fewest change points, then the earliest entry
+        first = int(np.lexsort(([len(m) for m in models], scores))[0])
+        best = scores[first]
+        tol = 1e-9 * (1.0 + abs(best)) if np.isfinite(best) else 0.0
+        assert scores[k] <= best + tol
+        if np.delete(scores, first).min(initial=np.inf) > best + tol:
+            assert k == first
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 40), st.integers(-1000, 1000), st.data(), penalties)
+    def test_constant_input_keeps_empty_model_with_one_warning(self, T, level, data, pen):
+        ps = prefix_sums(np.full(T, float(level)))
+        points = data.draw(st.permutations(range(1, T)))
+        points = points[: data.draw(st.integers(0, len(points)))]
+        path = SolutionPath(np.ones(len(points)), increments=points)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            seg = select_by_ic(path, ps, pen)
+        assert seg.changepoints == ()
+        assert [w.category for w in caught] == ([RuntimeWarning] if pen.kind == "ssic" else [])
 
 
 class TestThresholdAndNoise:
