@@ -7,28 +7,20 @@ Quick start::
 
     x = np.concatenate([np.zeros(100), np.full(100, 3.0)]) + np.random.default_rng(0).standard_normal(200)
     ps = seedseg.prefix_sums(x)
-    candidates = seedseg.evaluate_all(ps, seedseg.seeded_intervals(seedseg.SeededParams(len(x))))
-    path = seedseg.greedy_solution_path(candidates)
+    iv = seedseg.seeded_interval_arrays(seedseg.SeededParams(len(x)))
+    splits, gains = seedseg.best_splits_arrays(ps, iv.lefts, iv.rights)
+    path = seedseg.greedy_path_arrays(gains, splits, iv.lefts, iv.rights)
     seg = seedseg.select_by_ic(path, ps, seedseg.Penalty.ssic())
     print(seg.changepoints)
 """
 
-from seedseg.gain import (
-    Candidate,
-    CusumGainEvaluator,
-    GainEvaluator,
-    PrefixSums,
-    best_split,
-    cusum,
-    evaluate_all,
-    prefix_sums,
-)
+from seedseg.gain import PrefixSums, best_splits_arrays, cusum, prefix_sums
 from seedseg.intervals import (
     DEFAULT_DECAY,
-    Interval,
+    IntervalArrays,
     SeededParams,
-    random_intervals,
-    seeded_intervals,
+    random_interval_arrays,
+    seeded_interval_arrays,
     total_interval_length,
 )
 from seedseg.metrics import EvalReport, count_error, hausdorff, mse, v_measure
@@ -39,11 +31,11 @@ from seedseg.select import (
     auto_threshold,
     estimate_noise_sd,
     fit_segmentation,
-    greedy_select,
-    greedy_solution_path,
+    greedy_path_arrays,
+    greedy_select_arrays,
     ic_score,
-    not_select,
-    not_solution_path,
+    not_path_arrays,
+    not_select_arrays,
     penalty_value,
     select_by_ic,
 )
@@ -59,12 +51,9 @@ from seedseg.signals import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Candidate",
-    "CusumGainEvaluator",
     "DEFAULT_DECAY",
     "EvalReport",
-    "GainEvaluator",
-    "Interval",
+    "IntervalArrays",
     "NoiseModel",
     "Penalty",
     "PrefixSums",
@@ -73,26 +62,25 @@ __all__ = [
     "SignalSpec",
     "SolutionPath",
     "auto_threshold",
-    "best_split",
+    "best_splits_arrays",
     "count_error",
     "cusum",
     "estimate_noise_sd",
-    "evaluate_all",
     "fit_segmentation",
-    "greedy_select",
-    "greedy_solution_path",
+    "greedy_path_arrays",
+    "greedy_select_arrays",
     "hausdorff",
     "ic_score",
     "load_bundled_signal",
     "load_signal_spec",
     "mse",
-    "not_select",
-    "not_solution_path",
+    "not_path_arrays",
+    "not_select_arrays",
     "penalty_value",
     "prefix_sums",
-    "random_intervals",
+    "random_interval_arrays",
     "render_signal",
-    "seeded_intervals",
+    "seeded_interval_arrays",
     "select_by_ic",
     "simulate",
     "total_interval_length",

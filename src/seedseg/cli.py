@@ -141,10 +141,19 @@ def run_detect(series: Sequence[float], config: DetectConfig) -> dict:
     x = np.asarray(series, dtype=float)
     if len(x) < 2:
         raise ValueError(f"need at least 2 observations, got {len(x)}")
-    for name in ("threshold", "sigma"):
+    # every numeric knob is checked, used by this run or not
+    for name, op, low in (
+        ("threshold", ">=", 0),
+        ("sigma", ">=", 0),
+        ("threshold_scale", ">", 0),
+        ("alpha", ">=", 0),
+        ("theta", ">", 1),
+    ):
         value = getattr(config, name)
-        if value is not None and not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if value is None:
+            continue
+        if not (math.isfinite(value) and (value >= low if op == ">=" else value > low)):
+            raise ValueError(f"{name} must be finite and {op} {low}, got {value}")
     sigma_hat = config.sigma if config.sigma is not None else estimate_noise_sd(x)
     intervals = _build_intervals(config, len(x))
     ps = prefix_sums(x)
@@ -461,8 +470,6 @@ def _cmd_intervals(args: argparse.Namespace, out) -> int:
 
 def _cmd_detect(args: argparse.Namespace, out) -> int:
     x = _read_series(args.input, args.column)
-    if len(x) < 2:
-        raise ValueError(f"need at least 2 observations, got {len(x)}")
     ic = args.ic
     if ic is None:
         # a fixed threshold implies direct thresholded selection by default

@@ -12,22 +12,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "DEFAULT_DECAY",
-    "Interval",
     "IntervalArrays",
     "LayerParams",
     "SeededParams",
     "layer_params",
     "num_layers",
     "random_interval_arrays",
-    "random_intervals",
     "seeded_interval_arrays",
-    "seeded_intervals",
     "total_interval_length",
 ]
 
@@ -47,29 +44,6 @@ def _floor(x):
 
 def _ceil(x):
     return np.ceil(np.asarray(x, dtype=float)).astype(np.int64)
-
-
-@dataclass(frozen=True, slots=True)
-class Interval:
-    """Half-open index range ``(left, right]`` with its generating layer.
-
-    ``layer`` is the 1-based seeded layer index, or the string ``"random"``
-    for baseline intervals.
-    """
-
-    left: int
-    right: int
-    layer: Union[int, str]
-
-    def __post_init__(self):
-        if not 0 <= self.left < self.right:
-            raise ValueError(f"need 0 <= left < right, got ({self.left}, {self.right}]")
-        if self.right - self.left < 2:
-            raise ValueError(f"interval ({self.left}, {self.right}] has no interior split point")
-
-    @property
-    def length(self) -> int:
-        return self.right - self.left
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,7 +74,11 @@ class LayerParams:
 
 
 class IntervalArrays(NamedTuple):
-    """Columnar interval collection (used on hot paths instead of objects)."""
+    """Columnar interval collection: interval i is ``(lefts[i], rights[i]]``.
+
+    ``layers[i]`` is the 1-based seeded layer that generated it, or -1 for
+    a random interval.
+    """
 
     lefts: np.ndarray
     rights: np.ndarray
@@ -140,7 +118,11 @@ def layer_params(length: int, decay: float, layer: int) -> LayerParams:
 
 
 def seeded_interval_arrays(params: SeededParams) -> IntervalArrays:
-    """Columnar form of :func:`seeded_intervals` (same contents and order)."""
+    """Deduplicated seeded intervals, sorted by (layer, left).
+
+    Intervals covering fewer than ``params.min_length`` observations are
+    discarded; exact duplicates keep their lowest-layer occurrence.
+    """
     T = params.length
     m = params.min_length
     lefts_parts, rights_parts, layer_parts = [], [], []
@@ -172,23 +154,13 @@ def seeded_interval_arrays(params: SeededParams) -> IntervalArrays:
     return IntervalArrays(lefts[first], rights[first], layers[first])
 
 
-def seeded_intervals(params: SeededParams) -> list[Interval]:
-    """Deduplicated seeded intervals, sorted by (layer, left).
-
-    Intervals covering fewer than ``params.min_length`` observations are
-    discarded; exact duplicates keep their lowest-layer occurrence.
-    """
-    arrays = seeded_interval_arrays(params)
-    return [
-        Interval(int(left), int(right), int(layer))
-        for left, right, layer in zip(arrays.lefts, arrays.rights, arrays.layers)
-    ]
-
-
 def random_interval_arrays(
     length: int, count: int, min_length: int = 2, seed: int = 0
 ) -> IntervalArrays:
-    """Columnar form of :func:`random_intervals`."""
+    """``count`` random intervals with endpoints uniform on {0, ..., T}.
+
+    Reproducible bit-exactly for a fixed seed (PCG64 generator).
+    """
     if length < 2:
         raise ValueError(f"series length must be >= 2, got {length}")
     if count < 0:
@@ -212,21 +184,6 @@ def random_interval_arrays(
     return IntervalArrays(lefts, rights, layers)
 
 
-def random_intervals(
-    length: int, count: int, min_length: int = 2, seed: int = 0
-) -> list[Interval]:
-    """``count`` random intervals with endpoints uniform on {0, ..., T}.
-
-    Reproducible bit-exactly for a fixed seed (PCG64 generator).
-    """
-    arrays = random_interval_arrays(length, count, min_length, seed)
-    return [Interval(int(l), int(r), "random") for l, r in zip(arrays.lefts, arrays.rights)]
-
-
-def total_interval_length(
-    intervals: Union[Sequence[Interval], IntervalArrays, Iterable[Interval]],
-) -> int:
+def total_interval_length(intervals: IntervalArrays) -> int:
     """Sum of interval lengths, the driver of search cost."""
-    if isinstance(intervals, IntervalArrays):
-        return int(np.sum(intervals.rights - intervals.lefts))
-    return sum(iv.right - iv.left for iv in intervals)
+    return int(np.sum(intervals.rights - intervals.lefts))

@@ -21,7 +21,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from seedseg.gain import Candidate, PrefixSums
+from seedseg.gain import PrefixSums
 
 __all__ = [
     "Penalty",
@@ -31,13 +31,10 @@ __all__ = [
     "estimate_noise_sd",
     "fit_segmentation",
     "greedy_path_arrays",
-    "greedy_select",
     "greedy_select_arrays",
-    "greedy_solution_path",
     "ic_score",
-    "not_select",
+    "not_path_arrays",
     "not_select_arrays",
-    "not_solution_path",
     "penalty_value",
     "select_by_ic",
 ]
@@ -118,15 +115,6 @@ def fit_segmentation(ps: PrefixSums, changepoints: Sequence[int]) -> Segmentatio
     return Segmentation(changepoints=cps, means=tuple(means), rss=rss)
 
 
-def _candidate_arrays(candidates: Sequence[Candidate]):
-    n = len(candidates)
-    gains = np.fromiter((c.gain for c in candidates), dtype=float, count=n)
-    splits = np.fromiter((c.split for c in candidates), dtype=np.int64, count=n)
-    lefts = np.fromiter((c.interval.left for c in candidates), dtype=np.int64, count=n)
-    rights = np.fromiter((c.interval.right for c in candidates), dtype=np.int64, count=n)
-    return gains, splits, lefts, rights
-
-
 def greedy_select_arrays(
     gains: np.ndarray,
     splits: np.ndarray,
@@ -143,6 +131,8 @@ def greedy_select_arrays(
     exactly the iterative pick-max / eliminate loop.  ``max_accept`` stops
     after that many acceptances (the accepted prefix is unaffected).
     """
+    if not kappa >= 0:
+        raise ValueError(f"threshold must be >= 0, got {kappa}")
     idx = np.nonzero(gains > kappa)[0]
     order = idx[np.argsort(-gains[idx], kind="stable")]
     return _eliminate(order, splits, lefts, rights, max_accept)
@@ -162,42 +152,13 @@ def not_select_arrays(
     visited by (length, left, split); the same elimination rule as greedy
     applies.
     """
+    if not kappa >= 0:
+        raise ValueError(f"threshold must be >= 0, got {kappa}")
     qual = gains >= kappa if inclusive else gains > kappa
     idx = np.nonzero(qual)[0]
     lengths = rights[idx] - lefts[idx]
     order = idx[np.lexsort((splits[idx], lefts[idx], lengths))]
     return _eliminate(order, splits, lefts, rights)
-
-
-def _finish(
-    splits_accepted: Sequence[int], ps: Optional[PrefixSums]
-) -> Segmentation:
-    cps = tuple(sorted(int(s) for s in splits_accepted))
-    if ps is None:
-        return Segmentation(changepoints=cps)
-    return fit_segmentation(ps, cps)
-
-
-def greedy_select(
-    candidates: Sequence[Candidate], kappa: float, ps: Optional[PrefixSums] = None
-) -> Segmentation:
-    """Greedy selection at threshold ``kappa`` (strict: accepted gains > kappa)."""
-    if kappa < 0:
-        raise ValueError("threshold must be >= 0")
-    gains, splits, lefts, rights = _candidate_arrays(candidates)
-    acc = greedy_select_arrays(gains, splits, lefts, rights, kappa)
-    return _finish(splits[acc], ps)
-
-
-def not_select(
-    candidates: Sequence[Candidate], kappa: float, ps: Optional[PrefixSums] = None
-) -> Segmentation:
-    """Narrowest-over-threshold selection at threshold ``kappa``."""
-    if kappa < 0:
-        raise ValueError("threshold must be >= 0")
-    gains, splits, lefts, rights = _candidate_arrays(candidates)
-    acc = not_select_arrays(gains, splits, lefts, rights, kappa)
-    return _finish(splits[acc], ps)
 
 
 class SolutionPath:
@@ -260,18 +221,13 @@ def greedy_path_arrays(
 ) -> SolutionPath:
     """Full greedy solution path (threshold 0), nested by construction.
 
-    ``max_breaks`` truncates the path after that many acceptances; the
-    retained prefix is identical to the untruncated path's.
+    Entry i holds the model after the (i+1)-th acceptance, with the
+    accepted gain as its threshold.  ``max_breaks`` truncates the path
+    after that many acceptances; the retained prefix is identical to the
+    untruncated path's.
     """
     acc = greedy_select_arrays(gains, splits, lefts, rights, 0.0, max_accept=max_breaks)
     return SolutionPath(thresholds=gains[acc], increments=splits[acc])
-
-
-def greedy_solution_path(candidates: Sequence[Candidate]) -> SolutionPath:
-    """Greedy path: entry i holds the model after the (i+1)-th acceptance,
-    with the accepted gain as its threshold."""
-    gains, splits, lefts, rights = _candidate_arrays(candidates)
-    return greedy_path_arrays(gains, splits, lefts, rights)
 
 
 def not_path_arrays(
@@ -303,11 +259,6 @@ def not_path_arrays(
     return SolutionPath(thresholds=thresholds, segmentations=segs)
 
 
-def not_solution_path(candidates: Sequence[Candidate]) -> SolutionPath:
-    gains, splits, lefts, rights = _candidate_arrays(candidates)
-    return not_path_arrays(gains, splits, lefts, rights)
-
-
 @dataclass(frozen=True)
 class Penalty:
     """Model-size penalty; PEN(S + one point) - PEN(S) is O(1) for all kinds.
@@ -328,6 +279,12 @@ class Penalty:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}, expected one of {self._KINDS}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not (math.isfinite(self.theta) and self.theta > 1):
+            raise ValueError(f"ssic exponent theta must be finite and > 1, got {self.theta}")
+        if not (math.isfinite(self.sigma_sq) and self.sigma_sq >= 0):
+            raise ValueError(f"sigma_sq must be finite and >= 0, got {self.sigma_sq}")
 
     @classmethod
     def constant(cls, alpha: float) -> "Penalty":
@@ -339,8 +296,6 @@ class Penalty:
 
     @classmethod
     def ssic(cls, theta: float = 1.01) -> "Penalty":
-        if theta <= 1.0:
-            raise ValueError("ssic exponent theta must exceed 1")
         return cls(kind="ssic", theta=theta)
 
     @property
@@ -478,8 +433,8 @@ def auto_threshold(length: int, sigma_hat: float, scale: float = 1.3) -> float:
         raise ValueError("series length must be >= 2")
     if sigma_hat < 0:
         raise ValueError("sigma_hat must be >= 0")
-    if scale <= 0:
-        raise ValueError("scale must be > 0")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and > 0, got {scale}")
     return scale * sigma_hat * math.sqrt(2.0 * math.log(length))
 
 

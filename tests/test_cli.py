@@ -142,6 +142,30 @@ class TestDetectCommand:
         assert out == ""
         assert "must be finite and >= 0" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--threshold-scale", "nan"],  # unused under the default ssic
+            ["--threshold-scale", "nan", "--ic", "none"],
+            ["--threshold-scale", "0", "--ic", "none"],
+            ["--threshold-scale", "-1"],
+            ["--threshold-scale", "inf", "--ic", "none"],
+            ["--ic", "constant", "--alpha", "-5"],
+            ["--ic", "constant", "--alpha", "nan"],
+            ["--alpha", "inf"],
+            ["--theta", "nan"],
+            ["--theta", "1"],
+            ["--theta", "inf", "--ic", "bic"],
+        ],
+    )
+    def test_bad_scale_alpha_or_theta_exit_2(self, tmp_path, capsys, flags):
+        data = tmp_path / "x.csv"
+        data.write_text("".join(f"{i}\n" for i in range(1, 9)))
+        rc, out, err = run_main(["detect", "--input", str(data), *flags], capsys)
+        assert rc == 2
+        assert out == ""
+        assert "must be finite and" in err
+
     def test_zero_threshold_and_sigma_accepted(self, tmp_path, capsys):
         data = tmp_path / "x.csv"
         data.write_text("0\n" * 4 + "5\n" * 4)

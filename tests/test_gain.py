@@ -3,17 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from seedseg.gain import (
-    Candidate,
-    CusumGainEvaluator,
-    best_split,
-    best_split_bounds,
-    best_splits_arrays,
-    cusum,
-    evaluate_all,
-    prefix_sums,
-)
-from seedseg.intervals import Interval, SeededParams, seeded_interval_arrays, seeded_intervals
+from seedseg.gain import best_splits_arrays, cusum, prefix_sums
+from seedseg.intervals import SeededParams, random_interval_arrays, seeded_interval_arrays
+
+
+def reference_best_split(ps, left, right):
+    """Per-interval reference: argmax |cusum| over the interior, smallest split on ties."""
+    splits = np.arange(left + 1, right)
+    values = np.abs(cusum(ps, left, right, splits))
+    return int(splits[np.argmax(values)]), float(values.max())
+
+
+def best_split(ps, left, right):
+    splits, gains = best_splits_arrays(ps, [left], [right])
+    return int(splits[0]), float(gains[0])
 
 
 class TestPrefixSums:
@@ -39,13 +42,6 @@ class TestPrefixSums:
             x = rng.normal(size=int(rng.integers(1, 200)))
             ps = prefix_sums(x)
             assert ps.sums[-1] == pytest.approx(float(np.sum(x)), rel=1e-12)
-
-    def test_compensated_agrees(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=500) * 1e6
-        a = prefix_sums(x)
-        b = prefix_sums(x, compensated=True)
-        np.testing.assert_allclose(a.sums, b.sums, rtol=1e-9, atol=1e-3)
 
     def test_arrays_read_only(self):
         ps = prefix_sums([1.0, 2.0])
@@ -124,20 +120,15 @@ class TestCusum:
 class TestBestSplit:
     def test_step(self):
         ps = prefix_sums([0, 0, 1, 1])
-        cand = best_split(ps, Interval(0, 4, 1))
-        assert (cand.split, cand.gain) == (2, pytest.approx(1.0))
+        assert best_split(ps, 0, 4) == (2, pytest.approx(1.0))
 
     def test_constant_tie_break_smallest(self):
         ps = prefix_sums([3.0] * 6)
-        cand = best_split(ps, Interval(0, 4, 1))
-        assert cand.split == 1
-        assert cand.gain == 0.0
+        assert best_split(ps, 0, 4) == (1, 0.0)
 
     def test_uneven(self):
         ps = prefix_sums([1, 1, 1, 5])
-        cand = best_split(ps, Interval(0, 4, 1))
-        assert cand.split == 3
-        assert cand.gain == pytest.approx(2 * math.sqrt(3))
+        assert best_split(ps, 0, 4) == (3, pytest.approx(2 * math.sqrt(3)))
 
     def test_noiseless_single_step_recovered_exactly(self):
         rng = np.random.default_rng(7)
@@ -146,64 +137,42 @@ class TestBestSplit:
             eta = int(rng.integers(2, T - 1))
             x = np.where(np.arange(T) < eta, 0.0, 3.0)
             ps = prefix_sums(x)
-            split, gain = best_split_bounds(ps, 0, T)
+            split, gain = best_split(ps, 0, T)
             assert split == eta
             assert gain > 0
 
-    def test_candidate_validation(self):
-        with pytest.raises(ValueError):
-            Candidate(interval=Interval(0, 4, 1), split=4, gain=1.0)
-        with pytest.raises(ValueError):
-            Candidate(interval=Interval(0, 4, 1), split=2, gain=-0.5)
-
 
 class TestEvaluateAll:
+    """``best_splits_arrays`` over whole interval collections."""
+
     def test_empty(self):
         ps = prefix_sums([1.0, 2.0])
-        assert evaluate_all(ps, []) == []
+        splits, gains = best_splits_arrays(ps, [], [])
+        assert splits.tolist() == [] and gains.tolist() == []
 
     def test_single(self):
         ps = prefix_sums([0, 0, 1, 1])
-        iv = Interval(0, 4, 1)
-        assert evaluate_all(ps, [iv]) == [best_split(ps, iv)]
+        splits, gains = best_splits_arrays(ps, [0], [4])
+        assert (splits.tolist(), gains.tolist()) == ([2], [reference_best_split(ps, 0, 4)[1]])
 
     def test_matches_sequential_oracle_on_seeded(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=64)
         ps = prefix_sums(x)
-        ivs = seeded_intervals(SeededParams(64, 0.5, 2))
-        got = evaluate_all(ps, ivs)
-        assert [c.interval for c in got] == ivs  # input order preserved
-        for cand in got:
-            split, gain = best_split_bounds(ps, cand.interval.left, cand.interval.right)
-            assert cand.split == split
-            assert cand.gain == pytest.approx(gain, rel=1e-12)
+        iv = seeded_interval_arrays(SeededParams(64, 0.5, 2))
+        splits, gains = best_splits_arrays(ps, iv.lefts, iv.rights)
+        assert len(splits) == len(gains) == len(iv)
+        for l, r, s, g in zip(iv.lefts, iv.rights, splits, gains):
+            assert (s, g) == reference_best_split(ps, int(l), int(r))
 
     def test_grouped_arrays_equal_per_interval(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=300)
         ps = prefix_sums(x)
-        arr = seeded_interval_arrays(SeededParams(300, 0.7, 2))
-        splits, gains = best_splits_arrays(ps, arr.lefts, arr.rights)
-        for l, r, s, g in zip(arr.lefts, arr.rights, splits, gains):
-            s2, g2 = best_split_bounds(ps, int(l), int(r))
-            assert s == s2
-            assert g == pytest.approx(g2, rel=1e-12)
-
-    def test_custom_evaluator_contract(self):
-        class MidpointEvaluator:
-            def best_split(self, left, right):
-                return (left + right) // 2 if right - left > 1 else left + 1, float(right - left)
-
-        ps = prefix_sums([0.0] * 10)
-        ivs = [Interval(0, 4, 1), Interval(2, 9, 1)]
-        cands = evaluate_all(ps, ivs, evaluator=MidpointEvaluator())
-        assert [(c.split, c.gain) for c in cands] == [(2, 4.0), (5, 7.0)]
-
-    def test_cusum_evaluator_matches_default(self):
-        rng = np.random.default_rng(10)
-        x = rng.normal(size=50)
-        ps = prefix_sums(x)
-        ivs = seeded_intervals(SeededParams(50, 0.5, 2))
-        via_protocol = evaluate_all(ps, ivs, evaluator=CusumGainEvaluator(ps))
-        assert via_protocol == evaluate_all(ps, ivs)
+        for iv in (
+            seeded_interval_arrays(SeededParams(300, 0.7, 2)),
+            random_interval_arrays(300, 200, 2, seed=9),  # unsorted, mixed lengths
+        ):
+            splits, gains = best_splits_arrays(ps, iv.lefts, iv.rights)
+            for l, r, s, g in zip(iv.lefts, iv.rights, splits, gains):
+                assert (s, g) == reference_best_split(ps, int(l), int(r))

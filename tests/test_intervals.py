@@ -1,38 +1,47 @@
-import math
-
 import numpy as np
 import pytest
 
+from seedseg.gain import best_splits_arrays, prefix_sums
 from seedseg.intervals import (
     DEFAULT_DECAY,
-    Interval,
+    IntervalArrays,
     SeededParams,
     layer_params,
     num_layers,
     random_interval_arrays,
-    random_intervals,
     seeded_interval_arrays,
-    seeded_intervals,
     total_interval_length,
 )
 
 
-def by_layer(intervals):
+def by_layer(arrays):
     out = {}
-    for iv in intervals:
-        out.setdefault(iv.layer, []).append((iv.left, iv.right))
+    for layer, left, right in zip(arrays.layers.tolist(), arrays.lefts.tolist(), arrays.rights.tolist()):
+        out.setdefault(layer, []).append((left, right))
     return out
 
 
-class TestIntervalType:
-    def test_valid(self):
-        iv = Interval(0, 10, 1)
-        assert iv.length == 10
+def interval_arrays(*pairs):
+    lefts = np.array([l for l, _ in pairs], dtype=np.int64)
+    rights = np.array([r for _, r in pairs], dtype=np.int64)
+    return IntervalArrays(lefts, rights, np.ones(len(pairs), dtype=np.int64))
 
-    @pytest.mark.parametrize("left,right", [(5, 5), (5, 3), (-1, 4), (3, 4)])
+
+class TestIntervalType:
+    """An interval ``(left, right]`` is checked where it is evaluated."""
+
+    def test_valid(self):
+        iv = interval_arrays((0, 10))
+        assert len(iv) == 1
+        assert total_interval_length(iv) == 10
+        splits, _ = best_splits_arrays(prefix_sums(np.arange(10.0)), iv.lefts, iv.rights)
+        assert 0 < splits[0] < 10
+
+    @pytest.mark.parametrize("left,right", [(5, 5), (5, 3), (-1, 4), (3, 4), (0, 11)])
     def test_invalid(self, left, right):
+        iv = interval_arrays((0, 10), (left, right))
         with pytest.raises(ValueError):
-            Interval(left, right, 1)
+            best_splits_arrays(prefix_sums(np.zeros(10)), iv.lefts, iv.rights)
 
 
 class TestSeededParams:
@@ -67,43 +76,35 @@ class TestLayerParams:
 
 class TestSeededIntervals:
     def test_layers_one_two(self):
-        layers = by_layer(seeded_intervals(SeededParams(10, 0.5, 2)))
+        layers = by_layer(seeded_interval_arrays(SeededParams(10, 0.5, 2)))
         assert layers[1] == [(0, 10)]
         assert layers[2] == [(0, 5), (2, 8), (5, 10)]
 
     def test_layer_three(self):
-        layers = by_layer(seeded_intervals(SeededParams(10, 0.5, 2)))
+        layers = by_layer(seeded_interval_arrays(SeededParams(10, 0.5, 2)))
         assert layers[3] == [(0, 3), (1, 4), (2, 5), (3, 7), (5, 8), (6, 9), (7, 10)]
 
     def test_layer_four_survivors(self):
-        layers = by_layer(seeded_intervals(SeededParams(10, 0.5, 2)))
+        layers = by_layer(seeded_interval_arrays(SeededParams(10, 0.5, 2)))
         assert layers[4] == [
             (0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 7), (6, 8), (7, 9), (8, 10)
         ]
 
     def test_no_duplicates_and_sorted(self):
-        ivs = seeded_intervals(SeededParams(300, 0.8, 2))
-        pairs = [(iv.left, iv.right) for iv in ivs]
+        iv = seeded_interval_arrays(SeededParams(300, 0.8, 2))
+        pairs = list(zip(iv.lefts.tolist(), iv.rights.tolist()))
         assert len(pairs) == len(set(pairs))
-        keys = [(iv.layer, iv.left, iv.right) for iv in ivs]
+        keys = list(zip(iv.layers.tolist(), iv.lefts.tolist(), iv.rights.tolist()))
         assert keys == sorted(keys)
 
     def test_min_length_filter(self):
-        for iv in seeded_intervals(SeededParams(100, 0.5, 7)):
-            assert iv.right - iv.left >= 7
+        iv = seeded_interval_arrays(SeededParams(100, 0.5, 7))
+        assert np.all(iv.rights - iv.lefts >= 7)
 
     def test_determinism(self):
         p = SeededParams(523, 0.77, 3)
-        assert seeded_intervals(p) == seeded_intervals(p)
-
-    def test_arrays_match_objects(self):
-        p = SeededParams(200, 1 / math.sqrt(2), 2)
-        arr = seeded_interval_arrays(p)
-        objs = seeded_intervals(p)
-        assert len(arr) == len(objs)
-        assert [(a, b) for a, b in zip(arr.lefts, arr.rights)] == [
-            (iv.left, iv.right) for iv in objs
-        ]
+        a, b = seeded_interval_arrays(p), seeded_interval_arrays(p)
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
     def test_table_total_length_sqrt_half(self):
         tot = total_interval_length(seeded_interval_arrays(SeededParams(2048, DEFAULT_DECAY, 2)))
@@ -147,26 +148,25 @@ class TestSeededIntervals:
 
 class TestRandomIntervals:
     def test_empty(self):
-        assert random_intervals(10, 0) == []
+        assert len(random_interval_arrays(10, 0)) == 0
 
     def test_contract(self):
-        ivs = random_intervals(10, 5, 2, seed=1)
-        assert len(ivs) == 5
-        for iv in ivs:
-            assert iv.right - iv.left >= 2
-            assert 0 <= iv.left < iv.right <= 10
-            assert iv.layer == "random"
+        iv = random_interval_arrays(10, 5, 2, seed=1)
+        assert len(iv) == 5
+        assert np.all(iv.rights - iv.lefts >= 2)
+        assert np.all((0 <= iv.lefts) & (iv.rights <= 10))
+        assert iv.layers.tolist() == [-1] * 5
 
     def test_reproducible(self):
-        a = random_intervals(500, 100, 2, seed=42)
-        b = random_intervals(500, 100, 2, seed=42)
-        assert a == b
-        c = random_intervals(500, 100, 2, seed=43)
-        assert a != c
+        a = random_interval_arrays(500, 100, 2, seed=42)
+        b = random_interval_arrays(500, 100, 2, seed=42)
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
+        c = random_interval_arrays(500, 100, 2, seed=43)
+        assert not np.array_equal(a.lefts, c.lefts)
 
     def test_invalid_min_length(self):
         with pytest.raises(ValueError):
-            random_intervals(10, 5, 11)
+            random_interval_arrays(10, 5, 11)
 
     def test_expected_total_length_table_value(self):
         # 5000 intervals on T=2048 average about 3.42e6 total length
@@ -177,12 +177,12 @@ class TestRandomIntervals:
 
 class TestTotalLength:
     def test_empty(self):
-        assert total_interval_length([]) == 0
+        assert total_interval_length(interval_arrays()) == 0
 
     def test_single(self):
-        assert total_interval_length([Interval(0, 10, 1)]) == 10
+        assert total_interval_length(interval_arrays((0, 10))) == 10
 
     def test_seeded_sum_matches_enumeration(self):
-        ivs = seeded_intervals(SeededParams(10, 0.5, 2))
-        assert total_interval_length(ivs) == sum(iv.right - iv.left for iv in ivs)
-        assert total_interval_length(ivs) == 66
+        iv = seeded_interval_arrays(SeededParams(10, 0.5, 2))
+        total = sum(r - l for l, r in zip(iv.lefts.tolist(), iv.rights.tolist()))
+        assert total_interval_length(iv) == total == 66

@@ -109,9 +109,9 @@ class TestDpExact:
         assert a == b
 
     def test_lower_bound_for_selection_pipeline(self):
-        from seedseg.gain import evaluate_all
-        from seedseg.intervals import SeededParams, seeded_intervals
-        from seedseg.select import greedy_solution_path, select_by_ic
+        from seedseg.gain import best_splits_arrays
+        from seedseg.intervals import SeededParams, seeded_interval_arrays
+        from seedseg.select import greedy_path_arrays, select_by_ic
 
         rng = np.random.default_rng(24)
         for _ in range(10):
@@ -121,7 +121,9 @@ class TestDpExact:
             )
             ps = prefix_sums(x)
             pen = Penalty.bic(1.0)
-            cands = evaluate_all(ps, seeded_intervals(SeededParams(T, 0.5, 2)))
-            seg = select_by_ic(greedy_solution_path(cands), ps, pen)
+            iv = seeded_interval_arrays(SeededParams(T, 0.5, 2))
+            splits, gains = best_splits_arrays(ps, iv.lefts, iv.rights)
+            path = greedy_path_arrays(gains, splits, iv.lefts, iv.rights)
+            seg = select_by_ic(path, ps, pen)
             dp = dp_exact(ps, pen)
             assert ic_score(ps, dp, pen) <= ic_score(ps, seg, pen) + 1e-9

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seedseg.select as select_module
-from seedseg.gain import Candidate, prefix_sums
-from seedseg.intervals import Interval
+from seedseg.gain import best_splits_arrays, prefix_sums
+from seedseg.intervals import SeededParams, seeded_interval_arrays
 from seedseg.oracle import naive_greedy, naive_not
 from seedseg.select import (
     Penalty,
@@ -19,21 +19,34 @@ from seedseg.select import (
     estimate_noise_sd,
     fit_segmentation,
     greedy_path_arrays,
-    greedy_select,
     greedy_select_arrays,
-    greedy_solution_path,
     ic_score,
     not_path_arrays,
-    not_select,
     not_select_arrays,
-    not_solution_path,
     penalty_value,
     select_by_ic,
 )
 
 
-def cand(l, r, s, g):
-    return Candidate(interval=Interval(l, r, 1), split=s, gain=g)
+def columns(*rows):
+    """(gains, splits, lefts, rights) from (left, right, split, gain) rows."""
+    lefts, rights, splits, gains = (list(c) for c in zip(*rows)) if rows else ([],) * 4
+    return (
+        np.array(gains, dtype=float),
+        *(np.array(c, dtype=np.int64) for c in (splits, lefts, rights)),
+    )
+
+
+def selected(select, cands, kappa):
+    """Sorted change points that ``select`` accepts at ``kappa``."""
+    return tuple(sorted(cands[1][select(*cands, kappa)].tolist()))
+
+
+def seeded_candidates(x, decay=0.5):
+    ps = prefix_sums(x)
+    iv = seeded_interval_arrays(SeededParams(len(x), decay, 2))
+    splits, gains = best_splits_arrays(ps, iv.lefts, iv.rights)
+    return ps, (gains, splits, iv.lefts, iv.rights)
 
 
 @st.composite
@@ -113,9 +126,6 @@ class TestEliminationScan:
         assert list(path.entries()) == want
 
     def test_real_candidates_beyond_one_chunk(self):
-        from seedseg.gain import best_splits_arrays
-        from seedseg.intervals import SeededParams, seeded_interval_arrays
-
         rng = np.random.default_rng(20)
         T = 1024
         x = np.repeat(rng.normal(scale=3.0, size=16), T // 16) + rng.normal(size=T)
@@ -133,86 +143,87 @@ class TestEliminationScan:
 
 class TestGreedySelect:
     def test_all_below_threshold(self):
-        assert greedy_select([cand(0, 4, 2, 0.4)], 0.5).changepoints == ()
+        assert selected(greedy_select_arrays, columns((0, 4, 2, 0.4)), 0.5) == ()
 
     def test_single(self):
-        assert greedy_select([cand(0, 4, 2, 1.0)], 0.5).changepoints == (2,)
+        assert selected(greedy_select_arrays, columns((0, 4, 2, 1.0)), 0.5) == (2,)
 
     def test_elimination_trace(self):
-        cs = [cand(0, 4, 2, 3.0), cand(2, 8, 5, 2.0), cand(0, 8, 2, 2.5)]
-        assert greedy_select(cs, 1.0).changepoints == (2, 5)
+        cs = columns((0, 4, 2, 3.0), (2, 8, 5, 2.0), (0, 8, 2, 2.5))
+        assert greedy_select_arrays(*cs, 1.0) == [0, 1]
+        assert selected(greedy_select_arrays, cs, 1.0) == (2, 5)
 
     def test_strictly_above_threshold(self):
-        assert greedy_select([cand(0, 4, 2, 1.0)], 1.0).changepoints == ()
+        assert selected(greedy_select_arrays, columns((0, 4, 2, 1.0)), 1.0) == ()
 
     def test_fitted_when_prefix_sums_given(self):
         ps = prefix_sums([0, 0, 1, 1])
-        seg = greedy_select([cand(0, 4, 2, 1.0)], 0.5, ps=ps)
+        seg = fit_segmentation(ps, selected(greedy_select_arrays, columns((0, 4, 2, 1.0)), 0.5))
         assert seg.changepoints == (2,)
         assert seg.means == (0.0, 1.0)
         assert seg.rss == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("select", [greedy_select_arrays, not_select_arrays])
+    @pytest.mark.parametrize("kappa", [-1.0, -1e-300, math.nan])
+    def test_negative_or_nan_threshold_rejected(self, select, kappa):
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            select(*columns((0, 4, 2, 1.0)), kappa)
+
 
 class TestNotSelect:
     def test_all_below(self):
-        assert not_select([cand(0, 8, 4, 0.5)], 1.0).changepoints == ()
+        assert selected(not_select_arrays, columns((0, 8, 4, 0.5)), 1.0) == ()
 
     def test_narrowest_first(self):
-        cs = [cand(0, 8, 4, 5.0), cand(2, 6, 4, 3.0)]
-        assert not_select(cs, 1.0).changepoints == (4,)
+        cs = columns((0, 8, 4, 5.0), (2, 6, 4, 3.0))
+        assert not_select_arrays(*cs, 1.0) == [1]
+        assert selected(not_select_arrays, cs, 1.0) == (4,)
 
     def test_high_threshold_leaves_wide(self):
-        cs = [cand(0, 8, 4, 5.0), cand(2, 6, 4, 3.0)]
-        assert not_select(cs, 4.0).changepoints == (4,)
+        cs = columns((0, 8, 4, 5.0), (2, 6, 4, 3.0))
+        assert not_select_arrays(*cs, 4.0) == [0]
+        assert selected(not_select_arrays, cs, 4.0) == (4,)
 
     def test_mutual_elimination_consistency_by_replay(self):
         rng = np.random.default_rng(12)
         for _ in range(40):
-            cs = []
+            rows = []
             for _ in range(60):
                 l = int(rng.integers(0, 90))
                 r = int(rng.integers(l + 2, 101))
                 s = int(rng.integers(l + 1, r))
-                cs.append(cand(l, r, s, float(rng.uniform(0, 5))))
-            seg = not_select(cs, 1.0)
+                rows.append((l, r, s, float(rng.uniform(0, 5))))
+            cps = selected(not_select_arrays, columns(*rows), 1.0)
             # replay the narrowest-first scan with a brute-force containment
-            order = sorted(
-                [c for c in cs if c.gain > 1.0],
-                key=lambda c: (c.interval.right - c.interval.left, c.interval.left, c.split),
-            )
+            order = sorted((row for row in rows if row[3] > 1.0), key=lambda c: (c[1] - c[0], c[0], c[2]))
             accepted = []
-            for c in order:
-                if not any(c.interval.left < p < c.interval.right for p in (a.split for a in accepted)):
-                    accepted.append(c)
-            assert tuple(sorted(a.split for a in accepted)) == seg.changepoints
+            for l, r, s, _ in order:
+                if not any(l < p < r for _, _, p in accepted):
+                    accepted.append((l, r, s))
+            assert tuple(sorted(s for _, _, s in accepted)) == cps
             # no later accepted interval contains an earlier accepted split
-            for i, earlier in enumerate(accepted):
-                for later in accepted[i + 1 :]:
-                    assert not (later.interval.left < earlier.split < later.interval.right)
+            for i, (_, _, s) in enumerate(accepted):
+                for l, r, _ in accepted[i + 1 :]:
+                    assert not l < s < r
 
 
 class TestSolutionPaths:
     def test_greedy_empty(self):
-        assert len(greedy_solution_path([])) == 0
+        assert len(greedy_path_arrays(*columns())) == 0
 
     def test_greedy_single(self):
-        path = greedy_solution_path([cand(0, 4, 2, 1.5)])
+        path = greedy_path_arrays(*columns((0, 4, 2, 1.5)))
         assert list(path.entries()) == [(1.5, (2,))]
 
     def test_greedy_three_candidate_trace(self):
-        cs = [cand(0, 4, 2, 3.0), cand(2, 8, 5, 2.0), cand(0, 8, 2, 2.5)]
-        path = greedy_solution_path(cs)
+        cs = columns((0, 4, 2, 3.0), (2, 8, 5, 2.0), (0, 8, 2, 2.5))
+        path = greedy_path_arrays(*cs)
         assert list(path.entries()) == [(3.0, (2,)), (2.0, (2, 5))]
 
     def test_greedy_nested_and_decreasing(self):
         rng = np.random.default_rng(13)
-        x = rng.normal(size=200)
-        from seedseg.gain import evaluate_all
-        from seedseg.intervals import SeededParams, seeded_intervals
-
-        ps = prefix_sums(x)
-        cands = evaluate_all(ps, seeded_intervals(SeededParams(200, 0.5, 2)))
-        path = greedy_solution_path(cands)
+        _, cands = seeded_candidates(rng.normal(size=200))
+        path = greedy_path_arrays(*cands)
         assert len(path) > 0
         thr = path.thresholds
         assert all(thr[i] >= thr[i + 1] for i in range(len(thr) - 1))
@@ -225,27 +236,20 @@ class TestSolutionPaths:
 
     def test_greedy_select_is_path_prefix(self):
         rng = np.random.default_rng(14)
-        x = rng.normal(size=150)
-        from seedseg.gain import evaluate_all
-        from seedseg.intervals import SeededParams, seeded_intervals
-
-        ps = prefix_sums(x)
-        cands = evaluate_all(ps, seeded_intervals(SeededParams(150, 0.5, 2)))
-        path = greedy_solution_path(cands)
+        _, cands = seeded_candidates(rng.normal(size=150))
+        path = greedy_path_arrays(*cands)
         for kappa in (0.5, 1.0, 2.0, 3.5):
-            seg = greedy_select(cands, kappa)
             keep = [i for i, t in enumerate(path.thresholds) if t > kappa]
             expected = path.changepoints_at(keep[-1]) if keep else ()
-            assert seg.changepoints == expected
+            assert selected(greedy_select_arrays, cands, kappa) == expected
 
     def test_not_path_empty_and_single(self):
-        assert len(not_solution_path([])) == 0
-        path = not_solution_path([cand(0, 4, 2, 1.5)])
+        assert len(not_path_arrays(*columns())) == 0
+        path = not_path_arrays(*columns((0, 4, 2, 1.5)))
         assert list(path.entries()) == [(1.5, (2,))]
 
     def test_not_path_collapses_duplicates(self):
-        cs = [cand(0, 8, 4, 5.0), cand(2, 6, 4, 3.0)]
-        path = not_solution_path(cs)
+        path = not_path_arrays(*columns((0, 8, 4, 5.0), (2, 6, 4, 3.0)))
         assert list(path.entries()) == [(5.0, (4,))]
 
     def test_path_validation(self):
@@ -275,6 +279,30 @@ class TestPenalty:
     def test_ssic_theta_validation(self):
         with pytest.raises(ValueError):
             Penalty.ssic(theta=1.0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Penalty.ssic(math.nan),
+            lambda: Penalty.ssic(math.inf),
+            lambda: Penalty.ssic(0.5),
+            lambda: Penalty.constant(-1.0),
+            lambda: Penalty.constant(math.nan),
+            lambda: Penalty.constant(math.inf),
+            lambda: Penalty.bic(-1.0),
+            lambda: Penalty.bic(math.nan),
+            lambda: Penalty.bic(math.inf),
+            lambda: Penalty(kind="constant", alpha=1.0, theta=math.nan),
+        ],
+    )
+    def test_non_finite_or_out_of_range_knobs_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_boundary_knobs_accepted(self):
+        assert Penalty.constant(0.0).per_break(100) == 0.0
+        assert Penalty.bic(0.0).per_break(100) == 0.0
+        assert Penalty.ssic(1.0 + 1e-9).per_break(100) > 0.0
 
     def test_incremental_is_constant_per_break(self):
         for p in (Penalty.constant(1.7), Penalty.bic(2.0), Penalty.ssic(1.05)):
@@ -332,12 +360,8 @@ class TestSelectByIc:
     def test_incremental_matches_direct_scoring(self):
         rng = np.random.default_rng(16)
         x = np.concatenate([rng.normal(size=60), rng.normal(loc=3.0, size=60)])
-        from seedseg.gain import evaluate_all
-        from seedseg.intervals import SeededParams, seeded_intervals
-
-        ps = prefix_sums(x)
-        cands = evaluate_all(ps, seeded_intervals(SeededParams(120, 0.5, 2)))
-        path = greedy_solution_path(cands)
+        ps, cands = seeded_candidates(x)
+        path = greedy_path_arrays(*cands)
         for pen in (Penalty.constant(5.0), Penalty.bic(1.0), Penalty.ssic(1.01)):
             seg = select_by_ic(path, ps, pen)
             cap = (120 + 1) // 2 if pen.kind == "ssic" else len(path)
@@ -369,22 +393,14 @@ class TestSelectByIc:
 
     def test_ssic_cap_excludes_saturated_model(self):
         rng = np.random.default_rng(17)
-        x = rng.normal(size=40)
-        from seedseg.gain import evaluate_all
-        from seedseg.intervals import SeededParams, seeded_intervals
-
-        ps = prefix_sums(x)
-        cands = evaluate_all(ps, seeded_intervals(SeededParams(40, 0.5, 2)))
-        path = greedy_solution_path(cands)
+        ps, cands = seeded_candidates(rng.normal(size=40))
+        path = greedy_path_arrays(*cands)
         seg = select_by_ic(path, ps, Penalty.ssic())
         assert len(seg.changepoints) <= (40 + 1) // 2
 
     @settings(max_examples=200, deadline=None)
     @given(integer_series | gaussian_series, penalties, st.booleans())
     def test_walk_matches_direct_scoring_of_every_entry(self, x, pen, nested):
-        from seedseg.gain import best_splits_arrays
-        from seedseg.intervals import SeededParams, seeded_interval_arrays
-
         T = len(x)
         ps = prefix_sums(x)
         iv = seeded_interval_arrays(SeededParams(T, 0.5, 2))
@@ -431,6 +447,9 @@ class TestThresholdAndNoise:
     def test_auto_threshold_validation(self):
         with pytest.raises(ValueError):
             auto_threshold(100, 1.0, 0.0)
+        for scale in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                auto_threshold(100, 1.0, scale)
         with pytest.raises(ValueError):
             auto_threshold(1, 1.0, 1.0)
 
