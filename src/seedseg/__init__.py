@@ -36,7 +36,6 @@ from seedseg.select import (
     ic_score,
     not_path_arrays,
     not_select_arrays,
-    penalty_value,
     select_by_ic,
 )
 from seedseg.signals import (
@@ -76,7 +75,6 @@ __all__ = [
     "mse",
     "not_path_arrays",
     "not_select_arrays",
-    "penalty_value",
     "prefix_sums",
     "random_interval_arrays",
     "render_signal",

@@ -61,7 +61,17 @@ from seedseg.signals import (
     simulate_rep,
 )
 
-__all__ = ["DetectConfig", "main", "run_bench", "run_detect"]
+__all__ = [
+    "BenchMethod",
+    "DetectConfig",
+    "bench_rows_to_csv",
+    "build_parser",
+    "main",
+    "parse_methods",
+    "run_bench",
+    "run_detect",
+    "summarize_bench",
+]
 
 RESULT_CSV_HEADER = "method,param,rep,mse,hausdorff,vmeasure,count_error,total_length,time_ms"
 
@@ -154,6 +164,15 @@ def run_detect(series: Sequence[float], config: DetectConfig) -> dict:
             continue
         if not (math.isfinite(value) and (value >= low if op == ">=" else value > low)):
             raise ValueError(f"{name} must be finite and {op} {low}, got {value}")
+    for name, allowed in (
+        ("interval_mode", ("seeded", "random")),
+        ("selection", ("greedy", "not")),
+        ("ic", ("none", "constant", "bic", "ssic")),
+    ):
+        if getattr(config, name) not in allowed:
+            raise ValueError(f"{name} must be one of {allowed}, got {getattr(config, name)!r}")
+    if not 0.5 <= config.decay < 1.0:
+        raise ValueError(f"decay must lie in [1/2, 1), got {config.decay}")
     sigma_hat = config.sigma if config.sigma is not None else estimate_noise_sd(x)
     intervals = _build_intervals(config, len(x))
     ps = prefix_sums(x)

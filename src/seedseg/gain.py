@@ -32,15 +32,18 @@ class PrefixSums:
     def length(self) -> int:
         return len(self.sums) - 1
 
-    def segment_sum(self, left: int, right: int) -> float:
-        return float(self.sums[right] - self.sums[left])
+    def segment_rss(self, left, right):
+        """Residual sum of squares of the single-mean fit on (left, right].
 
-    def segment_rss(self, left: int, right: int) -> float:
-        """Residual sum of squares of the single-mean fit on (left, right]."""
-        n = right - left
+        Bounds are ints (returns a float) or equal-length integer arrays
+        (returns an array, element ``i`` for ``(left[i], right[i]]``); both
+        forms do the same floating-point operations, so they agree exactly.
+        Cancellation below zero is clipped to 0.
+        """
         s = self.sums[right] - self.sums[left]
         q = self.sq_sums[right] - self.sq_sums[left]
-        return max(float(q - s * s / n), 0.0)
+        rss = np.maximum(q - s * s / (right - left), 0.0)
+        return rss if rss.ndim else float(rss)
 
 
 def prefix_sums(series: Sequence[float]) -> PrefixSums:

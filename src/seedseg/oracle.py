@@ -85,8 +85,10 @@ def dp_exact(
 
     Only additive penalties are supported (``constant``, ``bic``); ``ssic``
     has a non-additive data term.  Ties prefer fewer change points, then
-    the lexicographically smallest change point sequence.  Segments must
-    contain at least ``min_seg`` observations.
+    the lexicographically smallest change point sequence: a first break is
+    taken only when strictly cheaper than none.  Segments must contain at
+    least ``min_seg`` observations, and all segment RSS comes from
+    :meth:`PrefixSums.segment_rss`.
     """
     if not penalty.additive:
         raise ValueError(f"dp_exact supports additive penalties only, not {penalty.kind!r}")
@@ -96,17 +98,6 @@ def dp_exact(
     if not 1 <= min_seg <= T:
         raise ValueError(f"min_seg must lie in 1..{T}")
     beta = penalty.per_break(T)
-    S = ps.sums
-    Q = ps.sq_sums
-
-    def rss_to_end(i: int) -> np.ndarray:
-        # RSS of single-mean fits on (i, j] for all admissible j, vectorised.
-        js = np.arange(i + min_seg, T + 1)
-        n = (js - i).astype(float)
-        s = S[js] - S[i]
-        q = Q[js] - Q[i]
-        return np.maximum(q - s * s / n, 0.0), js
-
     # Suffix DP: best[i] = minimal penalized cost of segmenting (i, T],
     # counting beta per break strictly inside (i, T].  Ties minimise the
     # break count; choice[i] records the smallest optimal first break (or
@@ -116,36 +107,20 @@ def dp_exact(
     counts = np.zeros(T + 1, dtype=np.int64)
     choice = np.full(T + 1, -1, dtype=np.int64)
     for i in range(T - min_seg, -1, -1):
-        seg_rss, js = rss_to_end(i)
-        no_break = seg_rss[-1]  # j = T
-        best_score = no_break
-        best_count = 0
-        best_c = -1
+        js = np.arange(i + min_seg, T + 1)  # admissible ends of the first segment
+        seg_rss = ps.segment_rss(i, js)
+        best[i] = seg_rss[-1]  # no break
         inner = js[:-1]
         if len(inner):
+            # best[j] stays inf where (j, T] is shorter than min_seg
             cand = seg_rss[:-1] + beta + best[inner]
-            valid = inner <= T - min_seg
-            if np.any(valid):
-                cand = np.where(valid, cand, np.inf)
-                smin = float(cand.min())
-                if smin < best_score:
-                    tie = np.nonzero(cand == smin)[0]
-                    cnt = counts[inner[tie]] + 1
-                    k = tie[np.argmin(cnt)]  # argmin returns the first, smallest break
-                    best_score = smin
-                    best_count = int(counts[inner[k]]) + 1
-                    best_c = int(inner[k])
-                elif smin == best_score:
-                    tie = np.nonzero(cand == smin)[0]
-                    cnt = counts[inner[tie]] + 1
-                    k = tie[np.argmin(cnt)]
-                    if counts[inner[k]] + 1 < best_count:
-                        best_score = smin
-                        best_count = int(counts[inner[k]]) + 1
-                        best_c = int(inner[k])
-        best[i] = best_score
-        counts[i] = best_count
-        choice[i] = best_c
+            smin = cand.min()
+            if smin < best[i]:
+                tie = np.nonzero(cand == smin)[0]
+                k = tie[np.argmin(counts[inner[tie]])]  # argmin returns the first, smallest break
+                best[i] = smin
+                counts[i] = counts[inner[k]] + 1
+                choice[i] = inner[k]
     cps = []
     i = 0
     while choice[i] != -1:

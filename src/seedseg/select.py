@@ -17,7 +17,7 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "ic_score",
     "not_path_arrays",
     "not_select_arrays",
-    "penalty_value",
     "select_by_ic",
 ]
 
@@ -104,15 +103,12 @@ def fit_segmentation(ps: PrefixSums, changepoints: Sequence[int]) -> Segmentatio
     """Segmentation with per-segment sample means and total RSS."""
     cps = tuple(int(c) for c in changepoints)
     T = ps.length
-    if cps and not (0 < cps[0] and cps[-1] < T):
-        raise ValueError(f"change points must lie in 1..{T - 1}")
-    bounds = (0,) + cps + (T,)
-    means = []
-    rss = 0.0
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        means.append(ps.segment_sum(a, b) / (b - a))
-        rss += ps.segment_rss(a, b)
-    return Segmentation(changepoints=cps, means=tuple(means), rss=rss)
+    bounds = np.array((0, *cps, T))
+    lo, hi = bounds[:-1], bounds[1:]
+    if np.any(hi <= lo):
+        raise ValueError(f"change points must be strictly increasing in 1..{T - 1}")
+    means = (ps.sums[hi] - ps.sums[lo]) / (hi - lo)
+    return Segmentation(changepoints=cps, means=tuple(means.tolist()), rss=_rss(ps, cps))
 
 
 def greedy_select_arrays(
@@ -206,10 +202,6 @@ class SolutionPath:
         if self._increments is not None:
             return tuple(sorted(int(s) for s in self._increments[: i + 1]))
         return self._segmentations[i]
-
-    def entries(self) -> Iterator[tuple[float, tuple[int, ...]]]:
-        for i, t in enumerate(self.thresholds):
-            yield float(t), self.changepoints_at(i)
 
 
 def greedy_path_arrays(
@@ -311,13 +303,6 @@ class Penalty:
         return math.log(length) ** self.theta
 
 
-def penalty_value(penalty: Penalty, n_breaks: int, length: int) -> float:
-    """PEN(S) for |S| = n_breaks on a series of the given length."""
-    if n_breaks < 0:
-        raise ValueError("n_breaks must be >= 0")
-    return n_breaks * penalty.per_break(length)
-
-
 def _scores(penalty: Penalty, rss: np.ndarray, sizes: np.ndarray, T: int) -> np.ndarray:
     """Criterion values of models with the given RSS and change point counts.
 
@@ -339,16 +324,10 @@ def _scores(penalty: Penalty, rss: np.ndarray, sizes: np.ndarray, T: int) -> np.
         return np.where(fitted, 0.5 * T * np.log(rss / T) + pen, -math.inf)
 
 
-def _total_rss(ps: PrefixSums, changepoints: Sequence[int]) -> float:
-    bounds = (0, *changepoints, ps.length)
-    return sum(ps.segment_rss(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
-
-
-def _segment_rss(ps: PrefixSums, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """:meth:`PrefixSums.segment_rss` over arrays of segment bounds."""
-    s = ps.sums[hi] - ps.sums[lo]
-    q = ps.sq_sums[hi] - ps.sq_sums[lo]
-    return np.maximum(q - s * s / (hi - lo), 0.0)
+def _rss(ps: PrefixSums, changepoints: Sequence[int]) -> float:
+    """Total RSS of a segmentation, its segments summed left to right."""
+    bounds = np.array((0, *changepoints, ps.length))
+    return sum(ps.segment_rss(bounds[:-1], bounds[1:]).tolist())
 
 
 def ic_score(ps: PrefixSums, seg: Segmentation, penalty: Penalty) -> float:
@@ -357,7 +336,7 @@ def ic_score(ps: PrefixSums, seg: Segmentation, penalty: Penalty) -> float:
     Additive kinds score RSS + PEN; ``ssic`` scores
     (T/2) log(RSS/T) + |S| (log T)**theta.
     """
-    rss = np.array([_total_rss(ps, seg.changepoints)])
+    rss = np.array([_rss(ps, seg.changepoints)])
     return float(_scores(penalty, rss, np.array([len(seg)]), ps.length)[0])
 
 
@@ -384,12 +363,7 @@ def _insertion_neighbours(points: np.ndarray, T: int) -> tuple[np.ndarray, np.nd
     return values[lo], values[hi]
 
 
-def select_by_ic(
-    path: SolutionPath,
-    ps: PrefixSums,
-    penalty: Penalty,
-    max_breaks: Optional[int] = None,
-) -> Segmentation:
+def select_by_ic(path: SolutionPath, ps: PrefixSums, penalty: Penalty) -> Segmentation:
     """Best path entry (or the empty segmentation) under the criterion.
 
     Ties pick the model with fewer change points, then the earlier entry.
@@ -399,21 +373,18 @@ def select_by_ic(
     scored entry by entry.
 
     For ``ssic`` the comparison is restricted to models with at most
-    ``max_breaks`` change points, by default ceil(T/2): the log-RSS data
-    term diverges to -inf on saturated fits, so an unrestricted minimum
-    degenerates to the largest model on the path.  Additive criteria are
-    unrestricted unless a cap is passed explicitly.
+    ceil(T/2) change points: the log-RSS data term diverges to -inf on
+    saturated fits, so an unrestricted minimum degenerates to the largest
+    model on the path.  Additive criteria are unrestricted.
     """
     T = ps.length
-    if max_breaks is None and penalty.kind == "ssic":
-        max_breaks = (T + 1) // 2
-    cap = max_breaks if max_breaks is not None else T
+    cap = (T + 1) // 2 if penalty.kind == "ssic" else T
     rss0 = ps.segment_rss(0, T)
     if path.nested:
-        points = path.increments[: max(cap, 0)]
+        points = path.increments[:cap]
         lo, hi = _insertion_neighbours(points, T)
         deltas = (
-            _segment_rss(ps, lo, points) + _segment_rss(ps, points, hi) - _segment_rss(ps, lo, hi)
+            ps.segment_rss(lo, points) + ps.segment_rss(points, hi) - ps.segment_rss(lo, hi)
         )
         rss = np.maximum(np.cumsum(np.concatenate(([rss0], deltas))), 0.0)
         sizes = np.arange(len(points) + 1)
@@ -421,7 +392,7 @@ def select_by_ic(
     else:
         entries = [i for i in range(len(path)) if len(path.changepoints_at(i)) <= cap]
         models = [path.changepoints_at(i) for i in entries]
-        rss = np.array([rss0] + [_total_rss(ps, cps) for cps in models])
+        rss = np.array([rss0] + [_rss(ps, cps) for cps in models])
         sizes = np.array([0] + [len(cps) for cps in models])
     best = int(np.lexsort((sizes, _scores(penalty, rss, sizes, T)))[0])
     return fit_segmentation(ps, path.changepoints_at(entries[best - 1]) if best else ())

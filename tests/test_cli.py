@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seedseg
 from seedseg.cli import (
     DetectConfig,
     BenchMethod,
@@ -166,6 +169,35 @@ class TestDetectCommand:
         assert out == ""
         assert "must be finite and" in err
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"selection": "gredy"},
+            {"interval_mode": "seded"},
+            {"ic": "BIC"},
+            {"ic": None},
+            {"decay": float("nan"), "interval_mode": "random"},
+            {"decay": 5.0, "interval_mode": "random"},
+            {"decay": float("inf")},
+            {"decay": 0.49},
+            {"decay": 1.0},
+        ],
+    )
+    def test_run_detect_rejects_unknown_mode_or_bad_decay(self, fields):
+        with pytest.raises(ValueError):
+            run_detect(np.repeat([0.0, 2.0], 20), DetectConfig(**fields))
+
+    @pytest.mark.parametrize("decay", [0.5, 0.99])
+    def test_run_detect_accepts_every_cli_choice(self, decay):
+        x = np.repeat([0.0, 3.0], 20) + np.random.default_rng(2).normal(size=40)
+        for mode in ("seeded", "random"):
+            for selection in ("greedy", "not"):
+                for ic in ("none", "constant", "bic", "ssic"):
+                    config = DetectConfig(
+                        decay=decay, interval_mode=mode, random_count=50, selection=selection, ic=ic
+                    )
+                    assert run_detect(x, config)["config"]["selection"] == selection
+
     def test_zero_threshold_and_sigma_accepted(self, tmp_path, capsys):
         data = tmp_path / "x.csv"
         data.write_text("0\n" * 4 + "5\n" * 4)
@@ -179,11 +211,14 @@ class TestDetectCommand:
         assert 4 in result["changepoints"]
 
     def test_stdin(self):
+        # the child process imports the same seedseg as this one
+        path = [str(Path(seedseg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         proc = subprocess.run(
             [sys.executable, "-m", "seedseg.cli", "detect", "--threshold", "0.5"],
             input="0\n0\n1\n1\n",
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["changepoints"] == [2]

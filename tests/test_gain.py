@@ -48,6 +48,19 @@ class TestPrefixSums:
         with pytest.raises(ValueError):
             ps.sums[0] = 5.0
 
+    @pytest.mark.parametrize("x", [np.random.default_rng(1).normal(size=40), [2.3] * 40])
+    def test_segment_rss_array_form_matches_scalar(self, x):
+        ps = prefix_sums(x)
+        lo, hi = np.triu_indices(41, k=1)  # every segment, length-1 ones included
+        got = ps.segment_rss(lo, hi)
+        assert got.tolist() == [ps.segment_rss(int(a), int(b)) for a, b in zip(lo, hi)]
+        assert isinstance(ps.segment_rss(0, 40), float)
+        s, q = ps.sums[hi] - ps.sums[lo], ps.sq_sums[hi] - ps.sq_sums[lo]
+        below = q - s * s / (hi - lo) < 0.0  # cancellation below zero
+        assert got.min() >= 0.0 and not got[below].any()
+        if len(set(x)) == 1:
+            assert below.any()
+
 
 class TestCusum:
     def test_constant_series_zero(self):

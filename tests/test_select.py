@@ -23,7 +23,6 @@ from seedseg.select import (
     ic_score,
     not_path_arrays,
     not_select_arrays,
-    penalty_value,
     select_by_ic,
 )
 
@@ -35,6 +34,11 @@ def columns(*rows):
         np.array(gains, dtype=float),
         *(np.array(c, dtype=np.int64) for c in (splits, lefts, rights)),
     )
+
+
+def entries(path):
+    """(threshold, change points) of every path entry, in path order."""
+    return [(float(t), path.changepoints_at(i)) for i, t in enumerate(path.thresholds)]
 
 
 def selected(select, cands, kappa):
@@ -123,7 +127,7 @@ class TestEliminationScan:
             seg = tuple(sorted(splits[naive_not(*cands, g, inclusive=True)].tolist()))
             if not want or seg != want[-1][1]:
                 want.append((g, seg))
-        assert list(path.entries()) == want
+        assert entries(path) == want
 
     def test_real_candidates_beyond_one_chunk(self):
         rng = np.random.default_rng(20)
@@ -213,12 +217,12 @@ class TestSolutionPaths:
 
     def test_greedy_single(self):
         path = greedy_path_arrays(*columns((0, 4, 2, 1.5)))
-        assert list(path.entries()) == [(1.5, (2,))]
+        assert entries(path) == [(1.5, (2,))]
 
     def test_greedy_three_candidate_trace(self):
         cs = columns((0, 4, 2, 3.0), (2, 8, 5, 2.0), (0, 8, 2, 2.5))
         path = greedy_path_arrays(*cs)
-        assert list(path.entries()) == [(3.0, (2,)), (2.0, (2, 5))]
+        assert entries(path) == [(3.0, (2,)), (2.0, (2, 5))]
 
     def test_greedy_nested_and_decreasing(self):
         rng = np.random.default_rng(13)
@@ -229,7 +233,7 @@ class TestSolutionPaths:
         assert all(thr[i] >= thr[i + 1] for i in range(len(thr) - 1))
         assert all(thr[i] > thr[i + 1] for i in range(len(thr) - 1))  # continuous data: strict
         prev: tuple[int, ...] = ()
-        for _, cps in path.entries():
+        for _, cps in entries(path):
             assert set(prev) <= set(cps)
             assert len(cps) == len(prev) + 1
             prev = cps
@@ -246,11 +250,11 @@ class TestSolutionPaths:
     def test_not_path_empty_and_single(self):
         assert len(not_path_arrays(*columns())) == 0
         path = not_path_arrays(*columns((0, 4, 2, 1.5)))
-        assert list(path.entries()) == [(1.5, (2,))]
+        assert entries(path) == [(1.5, (2,))]
 
     def test_not_path_collapses_duplicates(self):
         path = not_path_arrays(*columns((0, 8, 4, 5.0), (2, 6, 4, 3.0)))
-        assert list(path.entries()) == [(5.0, (4,))]
+        assert entries(path) == [(5.0, (4,))]
 
     def test_path_validation(self):
         with pytest.raises(ValueError):
@@ -261,16 +265,17 @@ class TestSolutionPaths:
 
 class TestPenalty:
     def test_constant(self):
-        assert penalty_value(Penalty.constant(2.0), 3, 100) == pytest.approx(6.0)
+        assert 3 * Penalty.constant(2.0).per_break(100) == pytest.approx(6.0)
 
     def test_zero_breaks(self):
-        for p in (Penalty.constant(2.0), Penalty.bic(1.0), Penalty.ssic()):
-            assert penalty_value(p, 0, 100) == 0.0
+        ps = prefix_sums([0.0, 1.0, 3.0, 2.0])
+        for p in (Penalty.constant(2.0), Penalty.bic(1.0)):
+            assert ic_score(ps, Segmentation(()), p) == ps.segment_rss(0, 4)
 
     def test_bic(self):
         T = 1000
-        assert penalty_value(Penalty.bic(1.0), 1, T) == pytest.approx(2 * math.log(T))
-        assert penalty_value(Penalty.bic(2.5), 3, T) == pytest.approx(3 * 2 * 2.5 * math.log(T))
+        assert Penalty.bic(1.0).per_break(T) == pytest.approx(2 * math.log(T))
+        assert 3 * Penalty.bic(2.5).per_break(T) == pytest.approx(3 * 2 * 2.5 * math.log(T))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -305,10 +310,12 @@ class TestPenalty:
         assert Penalty.ssic(1.0 + 1e-9).per_break(100) > 0.0
 
     def test_incremental_is_constant_per_break(self):
+        # one more break on the same RSS raises the score by per_break(T)
+        ps = prefix_sums([0.0, 1.0, 1.0, 1.0, 2.0, 3.0])
         for p in (Penalty.constant(1.7), Penalty.bic(2.0), Penalty.ssic(1.05)):
-            vals = [penalty_value(p, k, 512) for k in range(5)]
-            diffs = np.diff(vals)
-            assert np.allclose(diffs, diffs[0])
+            base = ic_score(ps, Segmentation((1, 4)), p)
+            finer = ic_score(ps, Segmentation((1, 2, 4)), p)  # splits a constant segment
+            assert finer - base == pytest.approx(p.per_break(6))
 
 
 class TestIcScore:
@@ -509,7 +516,28 @@ class TestSegmentation:
         assert seg.means == (1.0, 4.0)
         assert seg.rss == pytest.approx(0.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_fit_and_score_match_direct_slices(self, data):
+        T = data.draw(st.integers(1, 200))
+        x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=T)
+        cps = data.draw(st.lists(st.integers(1, T - 1), unique=True).map(sorted)) if T > 1 else []
+        ps = prefix_sums(x)
+        seg = fit_segmentation(ps, cps)
+        pieces = np.split(x, cps)
+        means = [np.mean(p) for p in pieces]
+        rss = sum(float(np.sum((p - m) ** 2)) for p, m in zip(pieces, means))
+        assert seg.means == pytest.approx(means, rel=1e-9, abs=1e-12)
+        assert seg.rss == pytest.approx(rss, rel=1e-9, abs=1e-12)
+        assert ic_score(ps, seg, Penalty.constant(0.5)) == pytest.approx(
+            rss + 0.5 * len(cps), rel=1e-9, abs=1e-12
+        )
+
     def test_fit_rejects_out_of_range(self):
         ps = prefix_sums([1.0, 1.0])
         with pytest.raises(ValueError):
             fit_segmentation(ps, (2,))
+        ps = prefix_sums([1.0, 1.0, 2.0, 2.0])
+        for cps in [(0,), (1, 1), (3, 1)]:  # repeated or unsorted points too
+            with pytest.raises(ValueError):
+                fit_segmentation(ps, cps)
