@@ -34,7 +34,7 @@ from seedseg.intervals import (
     seeded_interval_arrays,
     total_interval_length,
 )
-from seedseg.metrics import EvalReport, count_error, hausdorff, mse, v_measure
+from seedseg.metrics import EVAL_CSV_HEADER, EvalReport, count_error, hausdorff, mse, v_measure
 from seedseg.select import (
     Penalty,
     Segmentation,
@@ -73,7 +73,7 @@ __all__ = [
     "summarize_bench",
 ]
 
-RESULT_CSV_HEADER = "method,param,rep,mse,hausdorff,vmeasure,count_error,total_length,time_ms"
+RESULT_CSV_HEADER = "method,param,rep," + EVAL_CSV_HEADER
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,14 @@ def run_detect(series: Sequence[float], config: DetectConfig) -> dict:
             raise ValueError(f"{name} must be one of {allowed}, got {getattr(config, name)!r}")
     if not 0.5 <= config.decay < 1.0:
         raise ValueError(f"decay must lie in [1/2, 1), got {config.decay}")
+    if config.threshold is not None and config.ic != "none":
+        raise ValueError(f"a fixed threshold needs ic='none', got ic={config.ic!r}")
     sigma_hat = config.sigma if config.sigma is not None else estimate_noise_sd(x)
+    if config.ic == "none" and config.threshold is None and sigma_hat == 0:
+        raise ValueError(
+            "noise scale is 0, so the automatic threshold would accept rounding noise;"
+            " give a threshold or a positive sigma"
+        )
     intervals = _build_intervals(config, len(x))
     ps = prefix_sums(x)
 
@@ -279,9 +286,7 @@ def _bench_one_rep(args: tuple) -> list[dict]:
     truth_f = render_signal(spec)
     truth_cps = spec.rendered_changepoints()
     x = simulate_rep(spec, NoiseModel(sd=sigma, seed=seed), rep)
-    ps = prefix_sums(x)
-    rows = []
-    oracle_pen: Optional[Penalty] = None
+    results = []
     for method in methods:
         if method.kind == "seeded":
             config = replace(base_config, interval_mode="seeded", decay=method.param)
@@ -293,51 +298,38 @@ def _bench_one_rep(args: tuple) -> list[dict]:
                 random_count=int(method.param),
                 interval_seed=[seed, rep, int(method.param)],
             )
-        result = run_detect(x, config)
-        est = tuple(result["changepoints"])
+        results.append((method, run_detect(x, config)))
+    if use_oracle:
+        # every method shares sigma_hat, so one penalty scores every row
+        ps = prefix_sums(x)
+        penalty = _penalty(base_config, results[-1][1]["sigma_hat"])
+
+    def row(kind: str, param: str, est: tuple, total_length: int, time_ms: float) -> dict:
         report = EvalReport(
-            mse=mse(Segmentation(est), x, truth_f),
+            mse=mse(est, x, truth_f),
             hausdorff=hausdorff(est, truth_cps, len(x)),
             v_measure=v_measure(est, truth_cps, len(x)),
             count_error=count_error(est, truth_cps),
-            total_length=result["total_length"],
-            time_ms=result["timing_ms"]["evaluate"] + result["timing_ms"]["select"],
+            total_length=total_length,
+            time_ms=time_ms,
         )
-        row = {
-            "method": method.kind,
-            "param": method.label,
-            "rep": rep,
-            "report": report,
-        }
+        out = {"method": kind, "param": param, "rep": rep, "report": report}
         if use_oracle:
-            pen = _penalty(config, result["sigma_hat"])
-            oracle_pen = pen
-            row["ic_score"] = ic_score(ps, Segmentation(est), pen)
-        rows.append(row)
+            out["ic_score"] = ic_score(ps, Segmentation(est), penalty)
+        return out
+
+    rows = []
+    for method, result in results:
+        est = tuple(result["changepoints"])
+        time_ms = result["timing_ms"]["evaluate"] + result["timing_ms"]["select"]
+        rows.append(row(method.kind, method.label, est, result["total_length"], time_ms))
     if use_oracle:
         # the O(T^2) solver stays out of the module import graph unless used
         from seedseg.oracle import dp_exact
 
         t0 = time.perf_counter()
-        seg = dp_exact(ps, oracle_pen, min_seg=min_seg, max_length=len(x))
-        dp_ms = (time.perf_counter() - t0) * 1e3
-        report = EvalReport(
-            mse=mse(seg, x, truth_f),
-            hausdorff=hausdorff(seg, truth_cps, len(x)),
-            v_measure=v_measure(seg, truth_cps, len(x)),
-            count_error=count_error(seg, truth_cps),
-            total_length=0,
-            time_ms=dp_ms,
-        )
-        rows.append(
-            {
-                "method": "oracle",
-                "param": "dp",
-                "rep": rep,
-                "report": report,
-                "ic_score": ic_score(ps, seg, oracle_pen),
-            }
-        )
+        seg = dp_exact(ps, penalty, min_seg=min_seg, max_length=len(x))
+        rows.append(row("oracle", "dp", seg.changepoints, 0, (time.perf_counter() - t0) * 1e3))
     return rows
 
 
@@ -455,12 +447,6 @@ def _load_spec_arg(raw: str) -> SignalSpec:
     return load_signal_spec(raw)
 
 
-def _json_default(value):
-    if isinstance(value, (np.integer, np.floating)):
-        return _finite_or_none(value.item())
-    raise TypeError(f"not JSON serializable: {value!r}")
-
-
 def _finite_or_none(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None
@@ -511,7 +497,7 @@ def _cmd_detect(args: argparse.Namespace, out) -> int:
     if result["ic"] is not None:
         result["ic"]["score"] = _finite_or_none(result["ic"]["score"])
     result.pop("total_length")
-    print(json.dumps(result, default=_json_default), file=out)
+    print(json.dumps(result), file=out)
     return 0
 
 

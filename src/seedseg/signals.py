@@ -1,9 +1,11 @@
 """Piecewise-constant test signals: specification, rendering, simulation.
 
 A signal spec lists change point locations (slice boundaries: the number
-of observations before the mean shifts) and one level per segment; a
-repeat factor concatenates the pattern, with the junction between copies
-counting as a change point exactly when the adjacent levels differ.
+of observations before the mean shifts) and one level per segment, with
+adjacent levels distinct; a repeat factor concatenates the pattern, with
+the junction between copies counting as a change point exactly when the
+adjacent levels differ.  The rendered mean (:func:`render_signal`) is the
+ground truth: rendered change points and levels are read off it.
 
 The bundled specs (``blocks``, ``fms``, ``mix``, ``teeth10``,
 ``stairs10``) are transcribed from the standard benchmark suite of
@@ -82,47 +84,34 @@ class SignalSpec:
             )
         if not all(np.isfinite(self.levels)):
             raise SignalSpecError(f"{self.name}: levels must be finite")
+        if any(a == b for a, b in zip(self.levels[:-1], self.levels[1:])):
+            raise SignalSpecError(f"{self.name}: adjacent levels must differ")
 
     @property
     def rendered_length(self) -> int:
         return self.length * self.repeat
 
     def rendered_changepoints(self) -> tuple[int, ...]:
-        """Change points of the repeated signal.
+        """Change points of the repeated signal: where the rendered mean shifts.
 
         Copies contribute shifted internal change points; the junction at
         each copy boundary counts exactly when the last and first levels
         differ.
         """
-        out: list[int] = []
-        junction_breaks = self.levels[-1] != self.levels[0]
-        for copy in range(self.repeat):
-            offset = copy * self.length
-            if copy > 0 and junction_breaks:
-                out.append(offset)
-            out.extend(offset + c for c in self.changepoints)
-        return tuple(out)
+        return tuple((np.flatnonzero(np.diff(render_signal(self))) + 1).tolist())
 
     def rendered_levels(self) -> tuple[float, ...]:
         """One level per segment of the repeated signal."""
-        out = list(self.levels)
-        for _ in range(self.repeat - 1):
-            nxt = list(self.levels)
-            if nxt[0] == out[-1]:
-                nxt = nxt[1:]
-            out.extend(nxt)
-        return tuple(out)
+        return tuple(render_signal(self)[[0, *self.rendered_changepoints()]].tolist())
 
     def jumps(self) -> tuple[float, ...]:
         """Absolute level differences at each rendered change point."""
-        levels = self.rendered_levels()
-        return tuple(abs(b - a) for a, b in zip(levels[:-1], levels[1:]))
+        return tuple(np.abs(np.diff(self.rendered_levels())).tolist())
 
     @property
     def min_jump(self) -> float:
         """Smallest jump size (delta star); inf when there is no change."""
-        jumps = self.jumps()
-        return min(jumps) if jumps else float("inf")
+        return min(self.jumps(), default=float("inf"))
 
     @property
     def min_segment_length(self) -> int:

@@ -1,11 +1,16 @@
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seedseg
 from seedseg.cli import (
@@ -18,6 +23,7 @@ from seedseg.cli import (
     run_detect,
     summarize_bench,
 )
+from seedseg.select import estimate_noise_sd
 from seedseg.signals import SignalSpec, save_signal_spec
 
 
@@ -210,6 +216,54 @@ class TestDetectCommand:
         assert result["sigma_hat"] == 0.0
         assert 4 in result["changepoints"]
 
+    @pytest.mark.parametrize("values", [[0.0] * 50 + [1.0] * 50 + [3.0] * 50, [3.0] * 8])
+    @pytest.mark.parametrize("flags", [["--ic", "none"], ["--ic", "none", "--sigma", "0"]])
+    def test_auto_threshold_with_zero_noise_scale_exit_2(self, tmp_path, capsys, values, flags):
+        # an automatic threshold of 0 would accept CUSUM rounding noise
+        data = tmp_path / "x.csv"
+        data.write_text("".join(f"{v}\n" for v in values))
+        rc, out, err = run_main(["detect", "--input", str(data), *flags], capsys)
+        assert rc == 2
+        assert out == ""
+        assert "noise scale is 0" in err
+        assert "give a threshold or a positive sigma" in err
+
+    @pytest.mark.filterwarnings("ignore:ssic is degenerate")
+    def test_auto_threshold_with_zero_noise_scale_library(self):
+        x = np.repeat([0.0, 1.0, 3.0], 50)
+        with pytest.raises(ValueError, match="noise scale is 0"):
+            run_detect(x, DetectConfig(ic="none"))
+        with pytest.raises(ValueError, match="noise scale is 0"):
+            run_detect(x, DetectConfig(ic="none", sigma=0.0, selection="not"))
+        assert run_detect(x, DetectConfig(ic="none", sigma=0.1))["changepoints"] == [50, 100]
+        assert run_detect(x, DetectConfig(ic="none", threshold=1.0))["changepoints"] == [50, 100]
+        for ic in ("constant", "bic", "ssic"):
+            assert run_detect(x, DetectConfig(ic=ic))["changepoints"] == [50, 100]
+
+    @pytest.mark.parametrize("ic", ["constant", "bic", "ssic"])
+    def test_threshold_under_ic_exit_2(self, tmp_path, capsys, ic):
+        data = tmp_path / "x.csv"
+        data.write_text("".join(f"{i}\n" for i in range(1, 9)))
+        rc, out, err = run_main(
+            ["detect", "--input", str(data), "--threshold", "2.5", "--ic", ic], capsys
+        )
+        assert rc == 2
+        assert out == ""
+        assert "a fixed threshold needs ic='none'" in err
+
+    def test_threshold_under_ic_library(self):
+        x = np.repeat([0.0, 2.0, -1.0], 120) + np.random.default_rng(0).standard_normal(360)
+        for config in (
+            DetectConfig(threshold=50.0),  # ic defaults to ssic
+            DetectConfig(threshold=1.0, ic="bic", selection="not"),
+            DetectConfig(threshold=0.0, ic="constant"),
+        ):
+            with pytest.raises(ValueError, match="a fixed threshold needs ic='none'"):
+                run_detect(x, config)
+        result = run_detect(x, DetectConfig(threshold=50.0, ic="none"))
+        assert result["changepoints"] == []
+        assert result["threshold"] == 50.0
+
     def test_stdin(self):
         # the child process imports the same seedseg as this one
         path = [str(Path(seedseg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
@@ -261,6 +315,83 @@ class TestDetectCommand:
         assert rc == 0
         assert cps == sorted(set(cps))
         assert all(1 <= c <= 299 for c in cps)
+
+
+# multiples of 2^-10 in +-10^6: scaling them by 2^p, p in -3..5, is exact
+DYADIC = st.integers(-(10**6) * 2**10, 10**6 * 2**10).map(lambda k: k * 2.0**-10)
+ALL_CONFIGS = [
+    DetectConfig(interval_mode=mode, random_count=20, selection=selection, ic=ic)
+    for mode, selection, ic in itertools.product(
+        ("seeded", "random"), ("greedy", "not"), ("none", "constant", "bic", "ssic")
+    )
+]
+
+
+def _detect_or_none(x, config):
+    """run_detect's result, or None when it refuses a zero noise scale."""
+    try:
+        return run_detect(x, config)
+    except ValueError as exc:
+        assert "noise scale is 0" in str(exc)
+        return None
+
+
+class TestDetectProperties:
+    @pytest.mark.parametrize("selection,max_length", [("greedy", 200), ("not", 100)])
+    @pytest.mark.parametrize("mode", ["auto", "fixed", "bic"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_power_of_two_scaling_is_exact(self, selection, max_length, mode, data):
+        length = data.draw(st.integers(2, max_length))
+        x = np.array(data.draw(st.lists(DYADIC, min_size=length, max_size=length)))
+        scale = 2.0 ** data.draw(st.integers(-3, 5))
+        config = DetectConfig(selection=selection, ic="bic" if mode == "bic" else "none")
+        scaled = config
+        if mode == "fixed":
+            config = replace(config, threshold=abs(data.draw(DYADIC)))
+            scaled = replace(config, threshold=config.threshold * scale)
+        a = _detect_or_none(x, config)
+        b = _detect_or_none(x * scale, scaled)
+        assert (a is None) == (b is None)
+        if a is None:
+            return
+        assert b["changepoints"] == a["changepoints"]
+        assert b["gains"] == [g * scale for g in a["gains"]]
+        assert b["threshold"] == a["threshold"] * scale
+        assert b["sigma_hat"] == a["sigma_hat"] * scale
+        if mode == "bic":
+            assert b["ic"]["score"] == a["ic"]["score"] * scale**2
+
+    @pytest.mark.parametrize("selection,length", [("greedy", 200), ("not", 100)])
+    def test_power_of_two_scaling_keeps_ssic_changepoints(self, selection, length):
+        # ssic's log term is not exact under scaling, so only fixed inputs
+        config = DetectConfig(selection=selection)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            mean = np.repeat(rng.normal(scale=3.0, size=5), length // 5)
+            x = np.round((mean + rng.standard_normal(length)) * 2**10) * 2.0**-10
+            want = run_detect(x, config)["changepoints"]
+            for p in (-3, -1, 2, 5):
+                assert run_detect(x * 2.0**p, config)["changepoints"] == want
+
+    @pytest.mark.filterwarnings("ignore:ssic is degenerate")
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=4))
+    def test_tiny_inputs_give_a_valid_result_or_the_noise_scale_error(self, x):
+        sigma_hat = estimate_noise_sd(x)
+        for config in ALL_CONFIGS:
+            result = _detect_or_none(x, config)
+            assert (result is None) == (config.ic == "none" and sigma_hat == 0)
+            if result is None:
+                continue
+            cps = result["changepoints"]
+            assert cps == sorted(set(cps))
+            assert all(1 <= c < len(x) for c in cps)
+            assert len(result["gains"]) == len(cps)
+            assert all(math.isfinite(g) and g >= 0 for g in result["gains"])
+            assert math.isfinite(result["threshold"]) and result["threshold"] >= 0
+            assert result["sigma_hat"] == sigma_hat
+            assert (result["ic"] is None) == (config.ic == "none")
 
 
 class TestSimulateCommand:
@@ -384,6 +515,19 @@ class TestBenchCommand:
         lines = out.strip().splitlines()
         assert lines[0].startswith("method,param,n,mse_mean,mse_sd")
         assert lines[1].startswith("seeded,0.5,4,")
+
+    def test_equal_adjacent_levels_spec_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "flat.json"
+        path.write_text(
+            json.dumps(
+                {"name": "x", "T": 30, "changepoints": [10, 20],
+                 "levels": [0.0, 0.0, 1.0], "repeat": 1}
+            )
+        )
+        rc, out, err = run_main(["bench", "--spec", str(path), "--reps", "1"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert "adjacent levels must differ" in err
 
     def test_oracle_requires_additive_ic(self, toy_spec_path, capsys):
         rc, _, err = run_main(

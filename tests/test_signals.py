@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seedseg.signals import (
     NoiseModel,
@@ -22,6 +24,39 @@ from seedseg.signals import (
 
 def toy(repeat=1):
     return SignalSpec("toy", 4, (2,), (0.0, 1.0), repeat)
+
+
+LEVELS = (-2.0, -0.5, 0.0, 1.0, 2.5)
+
+
+@st.composite
+def valid_specs(draw):
+    """Specs of 1-6 segments of length 1-5, adjacent levels distinct, repeat 1-4."""
+    lengths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    levels = [draw(st.sampled_from(LEVELS))]
+    for _ in lengths[1:]:
+        levels.append(draw(st.sampled_from([v for v in LEVELS if v != levels[-1]])))
+    cps = tuple(np.cumsum(lengths)[:-1].tolist())
+    return SignalSpec("h", sum(lengths), cps, tuple(levels), draw(st.integers(1, 4)))
+
+
+def junction_reference(spec):
+    """Rendered (change points, levels) by the copy-junction rule.
+
+    A copy contributes its shifted change points; the junction before it is
+    a change point, and its first level a new segment, exactly when the last
+    and first levels differ.
+    """
+    cps, levels = [], list(spec.levels)
+    for copy in range(spec.repeat):
+        offset = copy * spec.length
+        if copy > 0 and spec.levels[-1] != spec.levels[0]:
+            cps.append(offset)
+            levels.extend(spec.levels)
+        elif copy > 0:
+            levels.extend(spec.levels[1:])
+        cps.extend(offset + c for c in spec.changepoints)
+    return tuple(cps), tuple(levels)
 
 
 class TestSignalSpec:
@@ -49,6 +84,13 @@ class TestSignalSpec:
         with pytest.raises(SignalSpecError):
             SignalSpec("bad", 4, (2,), (0.0, 1.0), 0)
 
+    def test_equal_adjacent_levels_rejected(self):
+        # the mean shifts only at 20, so (10, 20) cannot be its truth
+        with pytest.raises(SignalSpecError, match="adjacent levels must differ"):
+            SignalSpec("x", 30, (10, 20), (0.0, 0.0, 1.0))
+        with pytest.raises(SignalSpecError, match="adjacent levels must differ"):
+            SignalSpec("x", 4, (2,), (0.0, -0.0))
+
     def test_derived_quantities_match_brute_force(self):
         spec = SignalSpec("z", 10, (3, 7), (0.0, 2.5, 1.0), repeat=3)
         f = render_signal(spec)
@@ -59,6 +101,17 @@ class TestSignalSpec:
         assert spec.min_jump == pytest.approx(min(jumps))
         bounds = [0] + cps + [len(f)]
         assert spec.min_segment_length == min(np.diff(bounds))
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=valid_specs())
+    def test_derived_quantities_match_brute_force_and_junction_rule(self, spec):
+        f = render_signal(spec)
+        cps = [t for t in range(1, len(f)) if f[t] != f[t - 1]]
+        ref_cps, ref_levels = junction_reference(spec)
+        assert spec.rendered_changepoints() == tuple(cps) == ref_cps
+        assert spec.rendered_levels() == tuple(f[[0, *cps]].tolist()) == ref_levels
+        assert spec.jumps() == tuple(abs(f[t] - f[t - 1]) for t in cps)
+        assert spec.min_segment_length == min(np.diff([0, *cps, len(f)]))
 
     def test_no_changes(self):
         spec = SignalSpec("flat", 5, (), (1.5,), 1)
@@ -148,6 +201,12 @@ class TestBundledSignals:
         assert len(blocks.changepoints) == 11
         assert len(blocks.levels) == 12
         assert blocks.min_segment_length == 40
+
+    @pytest.mark.parametrize("repeat", [1, 5])
+    def test_rendered_truth_matches_junction_rule(self, repeat):
+        for name in bundled_signal_names():
+            spec = replace(load_bundled_signal(name), repeat=repeat)
+            assert (spec.rendered_changepoints(), spec.rendered_levels()) == junction_reference(spec)
 
     def test_blocks_repeated_five_times(self):
         blocks5 = replace(load_bundled_signal("blocks"), repeat=5)
