@@ -18,6 +18,7 @@ import math
 import statistics
 import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -102,7 +103,9 @@ class DetectConfig:
             "interval_seed": self.interval_seed if self.interval_mode == "random" else None,
             "selection": self.selection,
             "threshold": self.threshold,
-            "threshold_scale": self.threshold_scale,
+            "threshold_scale": (
+                self.threshold_scale if self.ic == "none" and self.threshold is None else None
+            ),
             "ic": self.ic,
             "alpha": self.alpha if self.ic == "constant" else None,
             "theta": self.theta if self.ic == "ssic" else None,
@@ -112,9 +115,7 @@ class DetectConfig:
 
 def _build_intervals(config: DetectConfig, length: int) -> IntervalArrays:
     if config.interval_mode == "seeded":
-        return seeded_interval_arrays(
-            SeededParams(length, config.decay, config.min_length)
-        )
+        return seeded_interval_arrays(SeededParams(length, config.decay, config.min_length))
     return random_interval_arrays(
         length, config.random_count, config.min_length, config.interval_seed
     )
@@ -135,7 +136,10 @@ def _select_by_ic_indexed(
 ) -> tuple[int, float]:
     """(entry index, score) of the IC winner; index -1 is the empty model."""
     seg = select_by_ic(path, ps, penalty)
-    score = ic_score(ps, seg, penalty)
+    with warnings.catch_warnings():
+        # select_by_ic has already warned about a degenerate ssic winner
+        warnings.filterwarnings("ignore", "ssic is degenerate", RuntimeWarning)
+        score = ic_score(ps, seg, penalty)
     if len(seg) == 0:
         return -1, score
     if path.nested:
@@ -158,6 +162,7 @@ def run_detect(series: Sequence[float], config: DetectConfig) -> dict:
         ("threshold_scale", ">", 0),
         ("alpha", ">=", 0),
         ("theta", ">", 1),
+        ("random_count", ">=", 1),
     ):
         value = getattr(config, name)
         if value is None:
@@ -458,17 +463,17 @@ def _finite_or_none(value):
 
 
 def _cmd_intervals(args: argparse.Namespace, out) -> int:
-    if args.mode == "seeded":
-        arrays = seeded_interval_arrays(
-            SeededParams(args.length, args.decay, args.min_length)
-        )
-        labels = [str(k) for k in arrays.layers]
-    else:
-        arrays = random_interval_arrays(args.length, args.count, args.min_length, args.seed)
-        labels = ["random"] * len(arrays)
+    config = DetectConfig(
+        decay=args.decay,
+        min_length=args.min_length,
+        interval_mode=args.mode,
+        random_count=args.count,
+        interval_seed=args.seed,
+    )
+    arrays = _build_intervals(config, args.length)
     print("layer,left,right", file=out)
-    for label, left, right in zip(labels, arrays.lefts, arrays.rights):
-        print(f"{label},{left},{right}", file=out)
+    for layer, left, right in zip(arrays.layers, arrays.lefts, arrays.rights):
+        print(f"{'random' if layer < 0 else layer},{left},{right}", file=out)
     print(f"# total_length={total_interval_length(arrays)}", file=out)
     return 0
 

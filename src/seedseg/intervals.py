@@ -19,9 +19,7 @@ import numpy as np
 __all__ = [
     "DEFAULT_DECAY",
     "IntervalArrays",
-    "LayerParams",
     "SeededParams",
-    "layer_params",
     "num_layers",
     "random_interval_arrays",
     "seeded_interval_arrays",
@@ -38,14 +36,6 @@ __all__ = [
 DEFAULT_DECAY = 1.0 / math.sqrt(2.0)
 
 
-def _floor(x):
-    return np.floor(np.asarray(x, dtype=float)).astype(np.int64)
-
-
-def _ceil(x):
-    return np.ceil(np.asarray(x, dtype=float)).astype(np.int64)
-
-
 @dataclass(frozen=True, slots=True)
 class SeededParams:
     """Parameters of a seeded interval collection."""
@@ -59,18 +49,8 @@ class SeededParams:
             raise ValueError(f"series length must be >= 2, got {self.length}")
         if not 0.5 <= self.decay < 1.0:
             raise ValueError(f"decay must lie in [1/2, 1), got {self.decay}")
-        if self.min_length < 2:
-            raise ValueError(f"min_length must be >= 2, got {self.min_length}")
-
-
-@dataclass(frozen=True, slots=True)
-class LayerParams:
-    """Count, nominal length and shift of one seeded layer."""
-
-    layer: int
-    count: int
-    length: float
-    shift: float
+        if not 2 <= self.min_length <= self.length:
+            raise ValueError(f"min_length must lie in [2, {self.length}], got {self.min_length}")
 
 
 class IntervalArrays(NamedTuple):
@@ -106,17 +86,6 @@ def num_layers(length: int, decay: float) -> int:
     return max(k, 1)
 
 
-def layer_params(length: int, decay: float, layer: int) -> LayerParams:
-    """Parameters (n_k, l_k, s_k) of layer ``layer``; layers are 1-based."""
-    layers = num_layers(length, decay)
-    if not 1 <= layer <= layers:
-        raise ValueError(f"layer {layer} outside valid range 1..{layers}")
-    count = 2 * math.ceil((1.0 / decay) ** (layer - 1)) - 1
-    nominal = length * decay ** (layer - 1)
-    shift = (length - nominal) / (count - 1) if count > 1 else 0.0
-    return LayerParams(layer=layer, count=count, length=nominal, shift=shift)
-
-
 def seeded_interval_arrays(params: SeededParams) -> IntervalArrays:
     """Deduplicated seeded intervals, sorted by (layer, left).
 
@@ -124,24 +93,25 @@ def seeded_interval_arrays(params: SeededParams) -> IntervalArrays:
     discarded; exact duplicates keep their lowest-layer occurrence.
     """
     T = params.length
+    a = params.decay
     m = params.min_length
     lefts_parts, rights_parts, layer_parts = [], [], []
-    for k in range(1, num_layers(T, params.decay) + 1):
-        lp = layer_params(T, params.decay, k)
+    for k in range(1, num_layers(T, a) + 1):
+        count = 2 * math.ceil((1.0 / a) ** (k - 1)) - 1     # n_k
+        nominal = T * a ** (k - 1)                          # l_k
+        shift = (T - nominal) / (count - 1) if count > 1 else 0.0  # s_k
         # Rounded lengths never exceed ceil(l_k) + 1; once that is below m
         # the layer (and every later, shorter one) contributes nothing.
-        if math.ceil(lp.length) + 1 < m:
+        if math.ceil(nominal) + 1 < m:
             break
-        starts = np.arange(lp.count) * lp.shift
-        lefts = _floor(starts)
-        rights = np.minimum(_ceil(starts + lp.length), T)
+        starts = np.arange(count) * shift
+        lefts = np.floor(starts).astype(np.int64)
+        rights = np.minimum(np.ceil(starts + nominal).astype(np.int64), T)
         keep = rights - lefts >= m
         lefts_parts.append(lefts[keep])
         rights_parts.append(rights[keep])
         layer_parts.append(np.full(int(keep.sum()), k, dtype=np.int64))
-    if not lefts_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return IntervalArrays(empty, empty.copy(), empty.copy())
+    # Layer 1 is (0, T], which min_length <= T keeps, so no part list is empty.
     lefts = np.concatenate(lefts_parts)
     rights = np.concatenate(rights_parts)
     layers = np.concatenate(layer_parts)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -74,6 +75,15 @@ class TestIntervalsCommand:
         total = int(out.strip().splitlines()[-1].split("=")[1])
         assert abs(total / 95_300 - 1) <= 0.02
 
+    @pytest.mark.parametrize("mode", ["seeded", "random"])
+    def test_min_length_above_length_exit_2(self, capsys, mode):
+        rc, out, err = run_main(
+            ["intervals", "--length", "8", "--min-length", "50", "--mode", mode], capsys
+        )
+        assert rc == 2
+        assert out == ""
+        assert "min_length must lie in [2, 8], got 50" in err
+
 
 class TestDetectCommand:
     def test_fixed_threshold_step(self, tmp_path, capsys):
@@ -93,11 +103,16 @@ class TestDetectCommand:
     def test_constant_input_auto(self, tmp_path, capsys):
         data = tmp_path / "x.csv"
         data.write_text("5\n" * 40)
-        rc, out, _ = run_main(["detect", "--input", str(data)], capsys)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out, _ = run_main(["detect", "--input", str(data)], capsys)
         assert rc == 0
         result = json.loads(out)
         assert result["changepoints"] == []
         assert result["sigma_hat"] == 0.0
+        # the degenerate ssic fit is reported once per run
+        degenerate = [w for w in caught if "ssic is degenerate" in str(w.message)]
+        assert [w.category for w in degenerate] == [RuntimeWarning]
 
     def test_column_selection(self, tmp_path, capsys):
         data = tmp_path / "x.csv"
@@ -187,6 +202,10 @@ class TestDetectCommand:
             {"decay": float("inf")},
             {"decay": 0.49},
             {"decay": 1.0},
+            {"random_count": 0, "interval_mode": "random"},
+            {"random_count": 0},  # unused under seeded intervals
+            {"min_length": 41},
+            {"min_length": 41, "interval_mode": "random"},
         ],
     )
     def test_run_detect_rejects_unknown_mode_or_bad_decay(self, fields):
@@ -203,6 +222,24 @@ class TestDetectCommand:
                         decay=decay, interval_mode=mode, random_count=50, selection=selection, ic=ic
                     )
                     assert run_detect(x, config)["config"]["selection"] == selection
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--min-length", "9"], "min_length must lie in [2, 8], got 9"),
+            (["--min-length", "9", "--intervals", "random"], "min_length must lie in [2, 8]"),
+            (["--intervals", "random", "--random-count", "0"], "random_count must be"),
+            (["--intervals", "random", "--random-count", "-2"], "random_count must be"),
+            (["--random-count", "0"], "random_count must be finite and >= 1"),  # unused if seeded
+        ],
+    )
+    def test_bad_interval_system_exit_2(self, tmp_path, capsys, flags, message):
+        data = tmp_path / "x.csv"
+        data.write_text("0\n" * 4 + "5\n" * 4)
+        rc, out, err = run_main(["detect", "--input", str(data), *flags], capsys)
+        assert rc == 2
+        assert out == ""
+        assert message in err
 
     def test_zero_threshold_and_sigma_accepted(self, tmp_path, capsys):
         data = tmp_path / "x.csv"
@@ -589,6 +626,21 @@ class TestRunDetectApi:
         assert cfg.min_length == 2
         assert cfg.selection == "greedy"
         assert cfg.ic == "ssic"
+
+    @pytest.mark.parametrize(
+        "fields,used",
+        [
+            ({"ic": "ssic"}, False),
+            ({"ic": "bic"}, False),
+            ({"ic": "constant"}, False),
+            ({"ic": "none", "threshold": 2.0}, False),
+            ({"ic": "none"}, True),  # the automatic threshold
+        ],
+    )
+    def test_threshold_scale_echoed_only_when_used(self, fields, used):
+        x = np.repeat([0.0, 3.0], 20) + np.random.default_rng(2).normal(size=40)
+        echo = run_detect(x, DetectConfig(threshold_scale=2.0, **fields))["config"]
+        assert echo["threshold_scale"] == (2.0 if used else None)
 
     def test_run_detect_short_series(self):
         with pytest.raises(ValueError):

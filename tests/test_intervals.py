@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seedseg.gain import best_splits_arrays, prefix_sums
 from seedseg.intervals import (
     DEFAULT_DECAY,
     IntervalArrays,
     SeededParams,
-    layer_params,
     num_layers,
     random_interval_arrays,
     seeded_interval_arrays,
@@ -47,31 +50,11 @@ class TestIntervalType:
 class TestSeededParams:
     @pytest.mark.parametrize("kwargs", [
         dict(length=1), dict(length=10, decay=0.4), dict(length=10, decay=1.0),
-        dict(length=10, min_length=1),
+        dict(length=10, min_length=1), dict(length=10, min_length=11),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SeededParams(**kwargs)
-
-
-class TestLayerParams:
-    def test_layer_two(self):
-        lp = layer_params(10, 0.5, 2)
-        assert (lp.count, lp.length, lp.shift) == (3, 5.0, 2.5)
-
-    def test_layer_one_shift_zero(self):
-        lp = layer_params(10, 0.5, 1)
-        assert (lp.count, lp.length, lp.shift) == (1, 10.0, 0.0)
-
-    def test_layer_three(self):
-        lp = layer_params(10, 0.5, 3)
-        assert (lp.count, lp.length, lp.shift) == (7, 2.5, 1.25)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            layer_params(10, 0.5, 0)
-        with pytest.raises(ValueError):
-            layer_params(10, 0.5, num_layers(10, 0.5) + 1)
 
 
 class TestSeededIntervals:
@@ -119,11 +102,37 @@ class TestSeededIntervals:
             assert total_interval_length(arr) <= 6 * T * num_layers(T, a)
 
     def test_lowest_layer_count_order_T(self):
-        # generated (pre-dedup) count of the deepest layer is at least T/4
+        # the finest scale is searched at order T places: at least T/4
+        # intervals of length <= 3
         for T in (16, 50, 181, 700):
             for a in (0.5, DEFAULT_DECAY, 0.85, 0.94):
-                lp = layer_params(T, a, num_layers(T, a))
-                assert lp.count >= T / 4
+                iv = seeded_interval_arrays(SeededParams(T, a, 2))
+                assert np.sum(iv.rights - iv.lefts <= 3) >= T / 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        T=st.integers(2, 3000),
+        a=st.floats(0.5, 0.999),
+        m=st.integers(2, 9),
+    )
+    def test_matches_the_paper_layout(self, T, a, m):
+        m = min(m, T)
+        # layer k: n_k intervals (floor(i s_k), ceil(i s_k + l_k)] clipped to
+        # T, those covering at least m observations kept, repeats dropped
+        want, seen = [], set()
+        for k in range(1, num_layers(T, a) + 1):
+            n_k = 2 * math.ceil((1 / a) ** (k - 1)) - 1
+            l_k = T * a ** (k - 1)
+            s_k = (T - l_k) / (n_k - 1) if n_k > 1 else 0.0
+            for i in range(n_k):
+                left = math.floor(i * s_k)
+                right = min(math.ceil(i * s_k + l_k), T)
+                if right - left >= m and (left, right) not in seen:
+                    seen.add((left, right))
+                    want.append((k, left, right))
+        iv = seeded_interval_arrays(SeededParams(T, a, m))
+        assert all(col.dtype == np.int64 for col in iv)
+        assert list(zip(iv.layers.tolist(), iv.lefts.tolist(), iv.rights.tolist())) == want
 
     def test_coverage_of_single_change_windows(self):
         # every window (c - lam, c + lam], lam >= 2, contains a seeded
