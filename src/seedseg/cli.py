@@ -19,7 +19,6 @@ import statistics
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -150,12 +149,8 @@ def _select_by_ic_indexed(
     raise RuntimeError("selected segmentation not found on the path")
 
 
-def run_detect(series: Sequence[float], config: DetectConfig) -> dict:
-    """Run the full detection pipeline; returns the JSON-ready result."""
-    x = np.asarray(series, dtype=float)
-    if len(x) < 2:
-        raise ValueError(f"need at least 2 observations, got {len(x)}")
-    # every numeric knob is checked, used by this run or not
+def _check_config(config: DetectConfig) -> None:
+    """Raise ``ValueError`` for any bad knob, used by this run or not."""
     for name, op, low in (
         ("threshold", ">=", 0),
         ("sigma", ">=", 0),
@@ -180,6 +175,14 @@ def run_detect(series: Sequence[float], config: DetectConfig) -> dict:
         raise ValueError(f"decay must lie in [1/2, 1), got {config.decay}")
     if config.threshold is not None and config.ic != "none":
         raise ValueError(f"a fixed threshold needs ic='none', got ic={config.ic!r}")
+
+
+def run_detect(series: Sequence[float], config: DetectConfig) -> dict:
+    """Run the full detection pipeline; returns the JSON-ready result."""
+    x = np.asarray(series, dtype=float)
+    if len(x) < 2:
+        raise ValueError(f"need at least 2 observations, got {len(x)}")
+    _check_config(config)
     sigma_hat = config.sigma if config.sigma is not None else estimate_noise_sd(x)
     if config.ic == "none" and config.threshold is None and sigma_hat == 0:
         raise ValueError(
@@ -360,6 +363,9 @@ def run_bench(
         for rep in range(reps)
     ]
     if jobs > 1:
+        # imported here: it is a noticeable share of a fresh ``import seedseg.cli``
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_rep = list(pool.map(_bench_one_rep, tasks))
     else:
@@ -470,6 +476,7 @@ def _cmd_intervals(args: argparse.Namespace, out) -> int:
         random_count=args.count,
         interval_seed=args.seed,
     )
+    _check_config(config)
     arrays = _build_intervals(config, args.length)
     print("layer,left,right", file=out)
     for layer, left, right in zip(arrays.layers, arrays.lefts, arrays.rights):

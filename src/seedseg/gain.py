@@ -20,6 +20,10 @@ import numpy as np
 
 __all__ = ["PrefixSums", "best_splits_arrays", "cusum", "prefix_sums"]
 
+# Splits evaluated per numpy pass of ``best_splits_arrays``: large enough
+# to amortise the pass, small enough that its temporaries stay a few MB.
+_BLOCK = 32_768
+
 
 @dataclass(frozen=True)
 class PrefixSums:
@@ -95,8 +99,11 @@ def best_splits_arrays(
 
     Intervals are processed in groups of equal length so the total work is
     proportional to the total interval length, with one numpy pass per
-    group instead of one per interval.  Results are independent of the
-    grouping.
+    row block of a group instead of one per interval.  A block holds about
+    ``_BLOCK`` splits (one row if an interval has more), and all blocks
+    share three buffers, so the temporaries stay near
+    ``max(_BLOCK, longest interval)`` splits whatever the system's size.
+    Results are independent of the grouping and the blocking.
     """
     lefts = np.asarray(lefts, dtype=np.int64)
     rights = np.asarray(rights, dtype=np.int64)
@@ -109,19 +116,35 @@ def best_splits_arrays(
     gains = np.empty(len(lefts))
     lengths = rights - lefts
     S = ps.sums
-    for n in np.unique(lengths):
-        sel = np.nonzero(lengths == n)[0]
-        l = lefts[sel]
+    distinct = np.unique(lengths).tolist()
+    # Every block works in these three buffers.  Fresh block-sized
+    # temporaries would be handed back to the OS and page-faulted in again
+    # on every block.
+    size = max(_BLOCK, distinct[-1] - 1)
+    idx_buf, left_buf, right_buf = np.empty(size, dtype=np.int64), np.empty(size), np.empty(size)
+    for n in distinct:
+        group = np.nonzero(lengths == n)[0]
         offs = np.arange(1, n)
         left_n = offs.astype(float)
         right_n = (n - offs).astype(float)
         w_left = np.sqrt(right_n / (n * left_n))
         w_right = np.sqrt(left_n / (n * right_n))
-        s_idx = l[:, None] + offs[None, :]
-        sum_left = S[s_idx] - S[l, None]
-        sum_right = S[l + n, None] - S[s_idx]
-        values = np.abs(w_left[None, :] * sum_left - w_right[None, :] * sum_right)
-        j = np.argmax(values, axis=1)
-        splits[sel] = l + 1 + j
-        gains[sel] = values[np.arange(len(sel)), j]
+        rows = max(1, _BLOCK // (n - 1))
+        for start in range(0, len(group), rows):
+            sel = group[start:start + rows]
+            l = lefts[sel]
+            cells = len(sel) * (n - 1)
+            s_idx = np.add(l[:, None], offs[None, :], out=idx_buf[:cells].reshape(-1, n - 1))
+            # mode="clip" lets take fill ``out`` directly; s_idx is in range
+            sum_left = np.take(S, s_idx, out=left_buf[:cells].reshape(-1, n - 1), mode="clip")
+            sum_left -= S[l, None]
+            sum_right = np.take(S, s_idx, out=right_buf[:cells].reshape(-1, n - 1), mode="clip")
+            np.subtract(S[l + n, None], sum_right, out=sum_right)
+            sum_left *= w_left
+            sum_right *= w_right
+            sum_left -= sum_right
+            values = np.abs(sum_left, out=sum_left)
+            j = np.argmax(values, axis=1)
+            splits[sel] = l + 1 + j
+            gains[sel] = values[np.arange(len(sel)), j]
     return splits, gains

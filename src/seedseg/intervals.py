@@ -91,37 +91,68 @@ def seeded_interval_arrays(params: SeededParams) -> IntervalArrays:
 
     Intervals covering fewer than ``params.min_length`` observations are
     discarded; exact duplicates keep their lowest-layer occurrence.
+
+    Duplicates are dropped layer by layer, so the pre-deduplication system
+    (about 2T/(1-a) intervals, mostly repeats in the finest layers) is
+    never held: peak memory is one layer's temporaries plus under twice
+    the bytes of the returned arrays.
     """
     T = params.length
     a = params.decay
     m = params.min_length
-    lefts_parts, rights_parts, layer_parts = [], [], []
+    # Kept endpoints are held narrow and widened to int64 once at the end.
+    narrow = np.int32 if T < np.iinfo(np.int32).max else np.int64
+    lefts_parts, rights_parts, counts = [], [], []
+    # length -> sorted lefts kept so far at that length.  A repeat of an
+    # earlier layer's interval has its length, so only that entry is searched.
+    seen: dict[int, np.ndarray] = {}
     for k in range(1, num_layers(T, a) + 1):
         count = 2 * math.ceil((1.0 / a) ** (k - 1)) - 1     # n_k
         nominal = T * a ** (k - 1)                          # l_k
         shift = (T - nominal) / (count - 1) if count > 1 else 0.0  # s_k
         # Rounded lengths never exceed ceil(l_k) + 1; once that is below m
         # the layer (and every later, shorter one) contributes nothing.
-        if math.ceil(nominal) + 1 < m:
+        bound = math.ceil(nominal) + 1
+        if bound < m:
             break
+        # Longer kept intervals cannot recur in this or any later layer.
+        for length in [n for n in seen if n > bound]:
+            del seen[length]
         starts = np.arange(count) * shift
-        lefts = np.floor(starts).astype(np.int64)
-        rights = np.minimum(np.ceil(starts + nominal).astype(np.int64), T)
-        keep = rights - lefts >= m
+        lefts = np.floor(starts).astype(narrow)
+        rights = np.minimum(np.ceil(starts + nominal).astype(narrow), T)
+        del starts
+        lengths = rights - lefts
+        keep = lengths >= m
+        # Lefts and rights never decrease within a layer, so a repeat inside
+        # the layer is adjacent to its first occurrence.
+        keep[1:] &= (lefts[1:] != lefts[:-1]) | (rights[1:] != rights[:-1])
+        # A layer's lengths span a few values, so bincount finds them in
+        # linear time.
+        low = int(lengths.min())
+        for length in (np.flatnonzero(np.bincount(lengths - low)) + low).tolist():
+            pos = np.flatnonzero(keep & (lengths == length))
+            if len(pos) == 0:
+                continue
+            new = lefts[pos]
+            kept = seen.get(length)
+            if kept is None:
+                seen[length] = new
+                continue
+            at = np.searchsorted(kept, new)
+            repeat = kept[np.minimum(at, len(kept) - 1)] == new
+            keep[pos[repeat]] = False
+            fresh = ~repeat
+            seen[length] = np.insert(kept, at[fresh], new[fresh])
         lefts_parts.append(lefts[keep])
         rights_parts.append(rights[keep])
-        layer_parts.append(np.full(int(keep.sum()), k, dtype=np.int64))
+        counts.append(len(lefts_parts[-1]))
     # Layer 1 is (0, T], which min_length <= T keeps, so no part list is empty.
-    lefts = np.concatenate(lefts_parts)
-    rights = np.concatenate(rights_parts)
-    layers = np.concatenate(layer_parts)
-    # Drop exact duplicates, keeping the first (lowest-layer) occurrence.
-    # Generation order is (layer, left, right)-sorted already, so keeping
-    # the sorted first-occurrence indices preserves the required ordering.
-    codes = lefts * np.int64(T + 1) + rights
-    _, first = np.unique(codes, return_index=True)
-    first.sort()
-    return IntervalArrays(lefts[first], rights[first], layers[first])
+    return IntervalArrays(
+        np.concatenate(lefts_parts, dtype=np.int64),
+        np.concatenate(rights_parts, dtype=np.int64),
+        np.repeat(np.arange(1, len(counts) + 1, dtype=np.int64), counts),
+    )
 
 
 def random_interval_arrays(

@@ -85,6 +85,18 @@ class TestIntervalsCommand:
         assert "min_length must lie in [2, 8], got 50" in err
 
 
+    @pytest.mark.parametrize("mode", ["seeded", "random"])
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_exit_2(self, capsys, mode, count):
+        # as detect --random-count and bench random:M, checked in either mode
+        rc, out, err = run_main(
+            ["intervals", "--length", "50", "--mode", mode, "--count", count], capsys
+        )
+        assert rc == 2
+        assert out == ""
+        assert f"random_count must be finite and >= 1, got {count}" in err
+
+
 class TestDetectCommand:
     def test_fixed_threshold_step(self, tmp_path, capsys):
         data = tmp_path / "x.csv"
@@ -617,6 +629,19 @@ class TestBenchCommand:
             return [",".join(line.split(",")[:-1]) for line in text.splitlines()]
 
         assert strip_time(outs[0]) == strip_time(outs[1])
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # the pool is imported only by a --jobs > 1 bench run, so a fresh
+        # import of the CLI does not pay for it
+        path = [str(Path(seedseg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, seedseg.cli; print('concurrent.futures' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
 
 
 class TestRunDetectApi:

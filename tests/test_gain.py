@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import seedseg.gain as gain_module
 from seedseg.gain import best_splits_arrays, cusum, prefix_sums
 from seedseg.intervals import SeededParams, random_interval_arrays, seeded_interval_arrays
 
@@ -189,3 +193,47 @@ class TestEvaluateAll:
             splits, gains = best_splits_arrays(ps, iv.lefts, iv.rights)
             for l, r, s, g in zip(iv.lefts, iv.rights, splits, gains):
                 assert (s, g) == reference_best_split(ps, int(l), int(r))
+
+
+class TestBlocking:
+    """Row blocks bound the temporaries and never change a split or a gain."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        T=st.integers(2, 300),
+        a=st.floats(0.5, 0.99),
+        count=st.integers(1, 200),
+        tied=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_matches_reference_and_default(self, T, a, count, tied, seed):
+        rng = np.random.default_rng(seed)
+        # small integers give exact ties, which must still go to the smallest split
+        x = rng.integers(-2, 3, size=T).astype(float) if tied else rng.normal(size=T)
+        ps = prefix_sums(x)
+        for iv in (
+            seeded_interval_arrays(SeededParams(T, a, 2)),
+            random_interval_arrays(T, count, 2, seed=seed),
+        ):
+            splits, gains = best_splits_arrays(ps, iv.lefts, iv.rights)
+            want = [reference_best_split(ps, l, r) for l, r in zip(iv.lefts.tolist(), iv.rights.tolist())]
+            assert np.array_equal(splits, [s for s, _ in want])
+            assert np.array_equal(gains, [g for _, g in want])
+            for block in (1, 2, 3, 7):
+                with mock.patch.object(gain_module, "_BLOCK", block):
+                    blocked = best_splits_arrays(ps, iv.lefts, iv.rights)
+                assert np.array_equal(blocked[0], splits)
+                assert np.array_equal(blocked[1], gains)
+
+    def test_group_spanning_blocks(self):
+        # 2,901 intervals of length 100: 330 rows per block at the default
+        # size, so eight full blocks and a partial ninth
+        n, count = 100, 2901
+        rows = gain_module._BLOCK // (n - 1)
+        assert count > rows and count % rows != 0
+        x = np.random.default_rng(11).normal(size=3000)
+        ps = prefix_sums(x)
+        lefts = np.arange(count)
+        splits, gains = best_splits_arrays(ps, lefts, lefts + n)
+        for l, s, g in zip(lefts.tolist(), splits.tolist(), gains.tolist()):
+            assert (s, g) == reference_best_split(ps, l, l + n)

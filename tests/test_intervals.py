@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,31 @@ def by_layer(arrays):
     for layer, left, right in zip(arrays.layers.tolist(), arrays.lefts.tolist(), arrays.rights.tolist()):
         out.setdefault(layer, []).append((left, right))
     return out
+
+
+def global_unique_reference(params):
+    """Every layer materialised first, then one global first-occurrence dedup."""
+    T, a, m = params.length, params.decay, params.min_length
+    lefts_parts, rights_parts, layer_parts = [], [], []
+    for k in range(1, num_layers(T, a) + 1):
+        count = 2 * math.ceil((1.0 / a) ** (k - 1)) - 1
+        nominal = T * a ** (k - 1)
+        shift = (T - nominal) / (count - 1) if count > 1 else 0.0
+        if math.ceil(nominal) + 1 < m:
+            break
+        starts = np.arange(count) * shift
+        lefts = np.floor(starts).astype(np.int64)
+        rights = np.minimum(np.ceil(starts + nominal).astype(np.int64), T)
+        keep = rights - lefts >= m
+        lefts_parts.append(lefts[keep])
+        rights_parts.append(rights[keep])
+        layer_parts.append(np.full(int(keep.sum()), k, dtype=np.int64))
+    lefts = np.concatenate(lefts_parts)
+    rights = np.concatenate(rights_parts)
+    layers = np.concatenate(layer_parts)
+    _, first = np.unique(lefts * np.int64(T + 1) + rights, return_index=True)
+    first.sort()
+    return IntervalArrays(lefts[first], rights[first], layers[first])
 
 
 def interval_arrays(*pairs):
@@ -133,6 +159,26 @@ class TestSeededIntervals:
         iv = seeded_interval_arrays(SeededParams(T, a, m))
         assert all(col.dtype == np.int64 for col in iv)
         assert list(zip(iv.layers.tolist(), iv.lefts.tolist(), iv.rights.tolist())) == want
+
+    @pytest.mark.parametrize("a", [0.5, DEFAULT_DECAY, 2 ** -0.125, 0.9, 0.99])
+    @pytest.mark.parametrize("m", [2, 3, 7])
+    def test_matches_global_unique_reference(self, a, m):
+        lengths = [*range(m, 70), 100, 181, 257, 1000, 1025, 4095, 2**12, 2**13, 2**14]
+        for T in lengths:
+            got = seeded_interval_arrays(SeededParams(T, a, m))
+            want = global_unique_reference(SeededParams(T, a, m))
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), (T, a, m)
+
+    @pytest.mark.parametrize("T,a", [(2**15, 0.99), (2**16, DEFAULT_DECAY)])
+    def test_peak_memory_bounded_by_output(self, T, a):
+        tracemalloc.start()
+        try:
+            iv = seeded_interval_arrays(SeededParams(T, a, 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * sum(col.nbytes for col in iv)
 
     def test_coverage_of_single_change_windows(self):
         # every window (c - lam, c + lam], lam >= 2, contains a seeded
