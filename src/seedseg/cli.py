@@ -190,10 +190,13 @@ def run_detect(series: Sequence[float], config: DetectConfig) -> dict:
             " give a threshold or a positive sigma"
         )
     intervals = _build_intervals(config, len(x))
+    total_length = total_interval_length(intervals)
+    lefts, rights = intervals.lefts, intervals.rights
+    del intervals  # frees the layer column, which nothing below reads
     ps = prefix_sums(x)
 
     t0 = time.perf_counter()
-    splits, gains = best_splits_arrays(ps, intervals.lefts, intervals.rights)
+    splits, gains = best_splits_arrays(ps, lefts, rights)
     t_eval = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
@@ -205,18 +208,16 @@ def run_detect(series: Sequence[float], config: DetectConfig) -> dict:
             else auto_threshold(len(x), sigma_hat, config.threshold_scale)
         )
         scan = greedy_select_arrays if config.selection == "greedy" else not_select_arrays
-        accepted = scan(gains, splits, intervals.lefts, intervals.rights, kappa)
+        accepted = scan(gains, splits, lefts, rights, kappa)
         pairs = sorted((int(splits[j]), float(gains[j])) for j in accepted)
         threshold = float(kappa)
     else:
         if config.selection == "greedy":
             # under ssic, entries beyond the ceil(T/2) model cap cannot win
             cap = (len(x) + 1) // 2 if config.ic == "ssic" else None
-            path = greedy_path_arrays(
-                gains, splits, intervals.lefts, intervals.rights, max_breaks=cap
-            )
+            path = greedy_path_arrays(gains, splits, lefts, rights, max_breaks=cap)
         else:
-            path = not_path_arrays(gains, splits, intervals.lefts, intervals.rights)
+            path = not_path_arrays(gains, splits, lefts, rights)
         penalty = _penalty(config, sigma_hat)
         index, score = _select_by_ic_indexed(path, ps, penalty)
         ic_info = {"kind": config.ic, "score": score}
@@ -232,7 +233,7 @@ def run_detect(series: Sequence[float], config: DetectConfig) -> dict:
                 )
             else:
                 accepted = not_select_arrays(
-                    gains, splits, intervals.lefts, intervals.rights, threshold, inclusive=True
+                    gains, splits, lefts, rights, threshold, inclusive=True
                 )
                 pairs = sorted((int(splits[j]), float(gains[j])) for j in accepted)
     t_select = (time.perf_counter() - t0) * 1e3
@@ -245,7 +246,7 @@ def run_detect(series: Sequence[float], config: DetectConfig) -> dict:
         "ic": ic_info,
         "config": config.to_json(),
         "timing_ms": {"evaluate": t_eval, "select": t_select},
-        "total_length": total_interval_length(intervals),
+        "total_length": total_length,
     }
 
 

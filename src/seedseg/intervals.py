@@ -187,4 +187,4 @@ def random_interval_arrays(
 
 def total_interval_length(intervals: IntervalArrays) -> int:
     """Sum of interval lengths, the driver of search cost."""
-    return int(np.sum(intervals.rights - intervals.lefts))
+    return int(intervals.rights.sum()) - int(intervals.lefts.sum())

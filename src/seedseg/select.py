@@ -111,6 +111,24 @@ def fit_segmentation(ps: PrefixSums, changepoints: Sequence[int]) -> Segmentatio
     return Segmentation(changepoints=cps, means=tuple(means.tolist()), rss=_rss(ps, cps))
 
 
+def _by_decreasing_gain(gains: np.ndarray, kappa: float) -> np.ndarray:
+    """Indices of the gains above ``kappa`` by decreasing gain, ties in index order.
+
+    When every gain qualifies (a full path) the gains are sorted directly;
+    otherwise the qualifying gains are gathered, sorted and freed before
+    their order is mapped back to indices.  Every other temporary is
+    freed on return, before the elimination scan starts.
+    """
+    if len(gains) and gains.min() > kappa:
+        return np.argsort(-gains, kind="stable")
+    idx = np.flatnonzero(gains > kappa)
+    neg = gains[idx]
+    np.negative(neg, out=neg)
+    perm = np.argsort(neg, kind="stable")
+    del neg
+    return idx[perm]
+
+
 def greedy_select_arrays(
     gains: np.ndarray,
     splits: np.ndarray,
@@ -129,9 +147,7 @@ def greedy_select_arrays(
     """
     if not kappa >= 0:
         raise ValueError(f"threshold must be >= 0, got {kappa}")
-    idx = np.nonzero(gains > kappa)[0]
-    order = idx[np.argsort(-gains[idx], kind="stable")]
-    return _eliminate(order, splits, lefts, rights, max_accept)
+    return _eliminate(_by_decreasing_gain(gains, kappa), splits, lefts, rights, max_accept)
 
 
 def not_select_arrays(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,13 @@ from hypothesis import strategies as st
 
 import seedseg.gain as gain_module
 from seedseg.gain import best_splits_arrays, cusum, prefix_sums
-from seedseg.intervals import SeededParams, random_interval_arrays, seeded_interval_arrays
+from seedseg.intervals import (
+    DEFAULT_DECAY,
+    SeededParams,
+    random_interval_arrays,
+    seeded_interval_arrays,
+)
+from seedseg.oracle import naive_cusum
 
 
 def reference_best_split(ps, left, right):
@@ -237,3 +244,109 @@ class TestBlocking:
         splits, gains = best_splits_arrays(ps, lefts, lefts + n)
         for l, s, g in zip(lefts.tolist(), splits.tolist(), gains.tolist()):
             assert (s, g) == reference_best_split(ps, l, l + n)
+
+
+class TestColumns:
+    def test_not_1d_rejected(self):
+        ps = prefix_sums(np.arange(10.0))
+        with pytest.raises(ValueError, match="1-d"):
+            best_splits_arrays(ps, [[0, 1]], [[5, 6]])
+        with pytest.raises(ValueError, match="1-d"):
+            best_splits_arrays(ps, 0, 5)
+
+    def test_unequal_lengths_rejected(self):
+        # neither broadcast to three candidates nor an IndexError
+        ps = prefix_sums(np.arange(10.0))
+        with pytest.raises(ValueError, match="equal length"):
+            best_splits_arrays(ps, [0, 1, 2], [5])
+        with pytest.raises(ValueError, match="equal length"):
+            best_splits_arrays(ps, [0], [5, 6, 7])
+
+    def test_bounds_checked_in_every_slice(self):
+        ps = prefix_sums(np.arange(10.0))
+        with mock.patch.object(gain_module, "_SLICE", 2):
+            with pytest.raises(ValueError, match="invalid interval bounds"):
+                best_splits_arrays(ps, [0, 0, 0, 3, 0], [5, 5, 5, 4, 5])
+
+
+def naive_best_split(x, left, right):
+    """Argmax of |cusum| by direct summation; smallest split on ties."""
+    values = [abs(naive_cusum(x, left, right, s)) for s in range(left + 1, right)]
+    j = int(np.argmax(values))
+    return left + 1 + j, values[j]
+
+
+class TestFixedWorkingSet:
+    """Slices and column blocks shrunk to single digits against the direct-summation oracle."""
+
+    @staticmethod
+    def check(x, lefts, rights, block, slice_):
+        ps = prefix_sums(x)
+        with mock.patch.object(gain_module, "_BLOCK", block), mock.patch.object(
+            gain_module, "_SLICE", slice_
+        ):
+            splits, gains = best_splits_arrays(ps, lefts, rights)
+        default = best_splits_arrays(ps, lefts, rights)
+        assert np.array_equal(splits, default[0]) and np.array_equal(gains, default[1])
+        # integer data sums exactly, so the oracle's values are the same doubles
+        exact = np.array_equal(x, np.round(x))
+        for l, r, s, g in zip(lefts, rights, splits.tolist(), gains.tolist()):
+            want_s, want_g = naive_best_split(x, int(l), int(r))
+            assert s == want_s
+            assert g == want_g if exact else g == pytest.approx(want_g, rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        T=st.integers(2, 120),
+        a=st.floats(0.5, 0.99),
+        data=st.sampled_from(["normal", "tied", "constant"]),
+        block=st.integers(1, 9),
+        slice_=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_seeded_and_random(self, T, a, data, block, slice_, seed):
+        rng = np.random.default_rng(seed)
+        x = {
+            "normal": lambda: rng.normal(size=T),
+            "tied": lambda: rng.integers(-2, 3, size=T).astype(float),
+            "constant": lambda: np.full(T, 3.0),
+        }[data]()
+        for iv in (
+            seeded_interval_arrays(SeededParams(T, a, 2)),
+            random_interval_arrays(T, 30, 2, seed=seed),
+        ):
+            self.check(x, iv.lefts, iv.rights, block, slice_)
+
+    def test_group_spanning_slices(self):
+        # one length-6 group cut into four slices of three, between other lengths
+        lefts = np.array([0, 1, 2, 0, 3, 4, 0, 5, 6, 1, 7, 2], dtype=np.int64)
+        rights = lefts + np.array([6, 6, 6, 9, 6, 6, 13, 6, 6, 4, 6, 2])
+        x = np.random.default_rng(12).normal(size=13)
+        self.check(x, lefts, rights, block=2, slice_=3)
+
+    def test_tie_across_column_blocks_goes_to_smallest_split(self):
+        # mirror-symmetric: |cusum| peaks exactly at splits 1 and 7, which
+        # fall in the first and the third column block of three
+        x = np.array([1.0, 0, 0, 0, 0, 0, 0, 1.0])
+        values = [abs(naive_cusum(x, 0, 8, s)) for s in range(1, 8)]
+        assert values[0] == values[6] == max(values) and values.count(max(values)) == 2
+        self.check(x, np.array([0]), np.array([8]), block=3, slice_=1)
+        with mock.patch.object(gain_module, "_BLOCK", 3):
+            assert best_split(prefix_sums(x), 0, 8) == (1, values[0])
+
+
+class TestWorkingSetMemory:
+    """Above its inputs and outputs, evaluation holds a fixed few MB."""
+
+    @pytest.mark.parametrize("T", [2**14, 2**16])
+    @pytest.mark.parametrize("a", [DEFAULT_DECAY, 0.99])
+    def test_evaluate_temporaries_fixed(self, T, a):
+        ps = prefix_sums(np.random.default_rng(13).normal(size=T))
+        iv = seeded_interval_arrays(SeededParams(T, a, 2))
+        tracemalloc.start()
+        try:
+            splits, gains = best_splits_arrays(ps, iv.lefts, iv.rights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - splits.nbytes - gains.nbytes <= 5_000_000

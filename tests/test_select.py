@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -483,8 +484,6 @@ class TestThresholdAndNoise:
 
 class TestMemoryScaling:
     def test_peak_allocations_roughly_linear_in_T(self):
-        import tracemalloc
-
         from seedseg.cli import DetectConfig, run_detect
 
         rng = np.random.default_rng(19)
@@ -501,6 +500,22 @@ class TestMemoryScaling:
         large = peak_bytes(2**15)
         # linear scaling predicts 4x; allow slack for constant overheads
         assert large / small <= 6.0
+
+    @pytest.mark.parametrize("decay", [1 / math.sqrt(2), 0.99])
+    def test_greedy_order_within_two_and_a_half_columns(self, decay):
+        # a full path (kappa 0, every gain positive): besides the accepted
+        # list it returns, the scan holds the order and a sort's workspace
+        x = np.random.default_rng(20).standard_normal(2**16)
+        _, cands = seeded_candidates(x, decay)
+        assert cands[0].min() > 0.0
+        tracemalloc.start()
+        try:
+            accepted = greedy_select_arrays(*cands, 0.0)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert accepted
+        assert peak - held <= 2.5 * cands[0].nbytes
 
 
 class TestSegmentation:
